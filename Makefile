@@ -16,7 +16,7 @@ TOOLS_BIN := $(CURDIR)/.tools/bin
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race vet staticcheck govulncheck check kernel-equiv bench bench-obs bench-json bench-check bench-baseline fuzz serve loadtest campaign campaign-smoke fleet-smoke drift-smoke router-smoke clean
+.PHONY: all build test race bench-test vet staticcheck govulncheck check kernel-equiv bench bench-obs bench-json bench-check bench-baseline fuzz serve loadtest campaign campaign-smoke fleet-smoke drift-smoke router-smoke clean
 
 all: build test
 
@@ -34,6 +34,13 @@ check: vet staticcheck govulncheck
 # race includes the obs registry stress test (internal/obs/stress_test.go).
 race:
 	$(GO) test -race ./...
+
+# bench-test vets and race-tests the benchmark module (bench/, its own
+# go.mod): stats degenerate-input properties, BENCHMARK.json↔code
+# consistency, and workload smoke tests. `go test ./...` at the root
+# does not descend into it.
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test -race ./...
 
 vet:
 	$(GO) vet ./...

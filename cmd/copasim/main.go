@@ -10,8 +10,8 @@
 // Operational flags: -debug-addr serves expvar (/debug/vars), a registry
 // snapshot (/debug/metrics), recent spans (/debug/spans) and pprof;
 // -cpuprofile/-memprofile/-exec-trace write profiles; -trace-out dumps
-// recorded spans as JSON at exit; -v enables debug
-// logging.
+// recorded spans as JSON at exit (one cli.sim trace with a
+// cli.sim.figure child per figure run); -v enables debug logging.
 package main
 
 import (
@@ -106,9 +106,15 @@ func run(args []string) int {
 		}
 	}()
 
+	// One trace per invocation: cli.sim is the root, and each figure run
+	// is a timed cli.sim.figure child that the harness's own spans
+	// (testbed.scenario, testbed.figure14, ...) nest under.
+	ctx, root := obs.StartSpan(ctx, "cli.sim")
+	defer root.End()
+
 	failed := false
 	matched := false
-	runOne := func(name string, f func() error) {
+	runOne := func(name string, f func(ctx context.Context) error) {
 		if *fig != "all" && *fig != name {
 			return
 		}
@@ -118,36 +124,44 @@ func run(args []string) int {
 		}
 		fmt.Printf("\n===== %s =====\n", title(name))
 		logger.Debug("reproducing", "figure", name, "seed", *seed, "topologies", *topologies)
-		if err := f(); err != nil {
+		sp := obs.ChildSpan(ctx, "cli.sim.figure")
+		sp.SetAttr("figure", name)
+		fctx := ctx
+		if sp != nil {
+			fctx = obs.ContextWithSpan(ctx, sp.Context())
+		}
+		err := f(fctx)
+		sp.EndErr(err)
+		if err != nil {
 			logger.Error("figure failed", "figure", name, "err", err)
 			failed = true
 		}
 	}
 
-	runOne("2", func() error { printFigure2(*seed); return nil })
-	runOne("3", func() error { printFigure3(*seed, *topologies); return nil })
-	runOne("4", func() error { printFigure4(*seed); return nil })
-	runOne("table1", func() error { printTable1(); return nil })
-	runOne("7", func() error { printFigure7(*seed); return nil })
-	runOne("9", func() error { printFigure9(*seed, *topologies); return nil })
-	runOne("10", func() error {
+	runOne("2", func(context.Context) error { printFigure2(*seed); return nil })
+	runOne("3", func(context.Context) error { printFigure3(*seed, *topologies); return nil })
+	runOne("4", func(context.Context) error { printFigure4(*seed); return nil })
+	runOne("table1", func(context.Context) error { printTable1(); return nil })
+	runOne("7", func(context.Context) error { printFigure7(*seed); return nil })
+	runOne("9", func(context.Context) error { printFigure9(*seed, *topologies); return nil })
+	runOne("10", func(ctx context.Context) error {
 		return printScenario(ctx, "Figure 10 (1x1)", channel.Scenario1x1, *seed, *topologies, 0, *skipPlus)
 	})
-	runOne("11", func() error {
+	runOne("11", func(ctx context.Context) error {
 		return printScenario(ctx, "Figure 11 (4x2)", channel.Scenario4x2, *seed, *topologies, 0, *skipPlus)
 	})
-	runOne("12", func() error {
+	runOne("12", func(ctx context.Context) error {
 		return printScenario(ctx, "Figure 12 (4x2, interference −10 dB)", channel.Scenario4x2, *seed, *topologies, -10, *skipPlus)
 	})
-	runOne("13", func() error {
+	runOne("13", func(ctx context.Context) error {
 		return printScenario(ctx, "Figure 13 (3x2)", channel.Scenario3x2, *seed, *topologies, 0, *skipPlus)
 	})
-	runOne("14", func() error { return printFigure14(ctx, *seed, *topologies) })
-	runOne("headlines", func() error { return printHeadlines(ctx, *seed, *topologies) })
-	runOne("accuracy", func() error { return printAccuracy(ctx, *seed, *topologies) })
-	runOne("backlog", func() error { return printBacklog(*seed) })
-	runOne("loss", func() error { return printLossSweep(ctx, *seed, *topologies, *lossRate, *burst) })
-	runOne("mobility", func() error { return printMobility(ctx, *seed, *topologies, mob) })
+	runOne("14", func(ctx context.Context) error { return printFigure14(ctx, *seed, *topologies) })
+	runOne("headlines", func(ctx context.Context) error { return printHeadlines(ctx, *seed, *topologies) })
+	runOne("accuracy", func(ctx context.Context) error { return printAccuracy(ctx, *seed, *topologies) })
+	runOne("backlog", func(context.Context) error { return printBacklog(*seed) })
+	runOne("loss", func(ctx context.Context) error { return printLossSweep(ctx, *seed, *topologies, *lossRate, *burst) })
+	runOne("mobility", func(ctx context.Context) error { return printMobility(ctx, *seed, *topologies, mob) })
 	if !matched {
 		logger.Error("unknown figure", "fig", *fig)
 		fmt.Fprintln(os.Stderr, "valid figures: 2,3,4,7,9,10,11,12,13,14,table1,headlines,accuracy,backlog,loss,mobility,all")

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -85,4 +87,51 @@ func TestRunExitCodes(t *testing.T) {
 	}
 	// An unwritable CSV directory must not crash; export errors are logged.
 	csvDir = ""
+}
+
+// TestTraceOutFigureSpan checks that -trace-out records one cli.sim
+// trace with a timed cli.sim.figure child for the figure that ran.
+func TestTraceOutFigureSpan(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	if code := run([]string{"-fig", "table1", "-trace-out", path}); code != 0 {
+		t.Fatalf("run(-fig table1 -trace-out) = %d, want 0", code)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spans []obs.SpanRecord
+	if err := json.Unmarshal(data, &spans); err != nil {
+		t.Fatalf("trace dump is not a JSON span array: %v", err)
+	}
+	// The dump is oldest first and the root ends last, so this run's
+	// root is the last cli.sim record.
+	var root obs.SpanRecord
+	for _, s := range spans {
+		if s.Name == "cli.sim" {
+			root = s
+		}
+	}
+	if root.Trace == "" || root.Parent != "" {
+		t.Fatalf("no cli.sim root in the dump (%d spans)", len(spans))
+	}
+	var figs []obs.SpanRecord
+	for _, s := range spans {
+		if s.Trace == root.Trace && s.Name == "cli.sim.figure" {
+			figs = append(figs, s)
+		}
+	}
+	if len(figs) != 1 {
+		t.Fatalf("got %d cli.sim.figure spans in the trace, want 1", len(figs))
+	}
+	f := figs[0]
+	if f.Parent != root.ID {
+		t.Errorf("cli.sim.figure parented to %q, want cli.sim %q", f.Parent, root.ID)
+	}
+	if len(f.Attrs) != 1 || f.Attrs[0] != (obs.Attr{Key: "figure", Value: "table1"}) {
+		t.Errorf("cli.sim.figure attrs = %v, want figure=table1", f.Attrs)
+	}
+	if f.Duration <= 0 || f.Err != "" {
+		t.Errorf("cli.sim.figure duration %v err %q, want a timed successful span", f.Duration, f.Err)
+	}
 }

@@ -283,8 +283,9 @@ func SetMetricsEnabled(on bool) { obs.SetEnabled(on) }
 // MetricsEnabled reports whether instrumentation is active.
 func MetricsEnabled() bool { return obs.Enabled() }
 
-// RecentSpans returns up to n most recent trace spans, newest first
-// (n <= 0 returns all retained spans).
+// RecentSpans returns up to n most recent spans of traced operations,
+// newest first (n <= 0 returns all retained spans). Library calls record
+// spans only under a caller's sampled trace; opt in with StartSpan.
 func RecentSpans(n int) []SpanRecord { return obs.Tracing().Recent(n) }
 
 // Distributed tracing: hierarchical request-scoped spans propagated

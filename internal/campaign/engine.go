@@ -61,8 +61,10 @@ func Run(ctx context.Context, spec Spec, opt Options) (*Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	var span cSpan
-	ctx, span = startCSpan(ctx, "campaign.run")
+	span := obs.ChildSpan(ctx, "campaign.run")
+	if span != nil {
+		ctx = obs.ContextWithSpan(ctx, span.Context())
+	}
 	var runErr error
 	defer func() { span.EndErr(runErr) }()
 	mRuns.Inc()

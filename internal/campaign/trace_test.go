@@ -62,6 +62,51 @@ func TestCampaignTraceStitching(t *testing.T) {
 	}
 }
 
+// TestUntracedRunRecordsNoSpans: a campaign run under a plain context
+// records no spans; only a caller's sampled trace makes it traced.
+func TestUntracedRunRecordsNoSpans(t *testing.T) {
+	before := obs.Tracing().Total()
+	if _, err := Run(context.Background(), testSpec(), Options{Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if got := obs.Tracing().Total(); got != before {
+		t.Fatalf("untraced Run recorded %d spans, want 0", got-before)
+	}
+}
+
+// TestCampaignRunSpanRecordsError: a traced run that fails — here on a
+// checkpoint that exists but was opened without Resume — ends its
+// campaign.run span with the error's text.
+func TestCampaignRunSpanRecordsError(t *testing.T) {
+	spec := testSpec()
+	ckpt := filepath.Join(t.TempDir(), "existing.jsonl")
+	jnl, _, err := OpenJournal(ckpt, spec, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jnl.Close()
+
+	ctx, root := obs.StartSpan(context.Background(), "caller")
+	_, runErr := Run(ctx, spec, Options{Workers: 2, Checkpoint: ckpt})
+	rootSC := root.Context()
+	root.End()
+	if runErr == nil {
+		t.Fatal("Run reopened an existing checkpoint without Resume")
+	}
+	if !rootSC.Valid() {
+		t.Skip("trace sampling disabled in this process")
+	}
+	for _, s := range obs.Tracing().TraceSpans(rootSC.TraceID.String()) {
+		if s.Name == "campaign.run" {
+			if s.Err != runErr.Error() {
+				t.Fatalf("campaign.run err = %q, want %q", s.Err, runErr)
+			}
+			return
+		}
+	}
+	t.Fatal("campaign.run missing from the caller's trace")
+}
+
 func unitAttr(s obs.SpanRecord) string {
 	for _, a := range s.Attrs {
 		if a.Key == "unit" {

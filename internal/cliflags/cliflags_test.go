@@ -1,6 +1,7 @@
 package cliflags
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -160,7 +161,8 @@ func TestDebugFlags(t *testing.T) {
 	}
 	obs.SetTraceSampling(1)
 	defer obs.SetVerbose(false)
-	obs.Trace("cliflags.test.span").End()
+	_, sp := obs.StartSpan(context.Background(), "cliflags.test.span")
+	sp.End()
 	shutdown()
 
 	data, err := os.ReadFile(tracePath)

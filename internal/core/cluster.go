@@ -8,7 +8,6 @@ import (
 	"copa/internal/channel"
 	"copa/internal/mac"
 	"copa/internal/medium"
-	"copa/internal/obs"
 	"copa/internal/power"
 	"copa/internal/rng"
 	"copa/internal/strategy"
@@ -146,7 +145,6 @@ func (c *Cluster) RunRound() (*RoundResult, error) {
 	}
 
 	lead, fol := c.APs[leader], c.APs[follower]
-	span := obs.Trace("its.exchange")
 	timing := mExchangeSeconds.Begin()
 	mSessions.Inc()
 	if c.Med == nil {
@@ -154,13 +152,11 @@ func (c *Cluster) RunRound() (*RoundResult, error) {
 	}
 	ex, err := runExchangeOverMedium(context.Background(), c.Med, lead, fol, uint32(mac.TxOp.Microseconds()), c.clk, c.Retry)
 	if err != nil {
-		span.EndErr(err)
 		return nil, err
 	}
 	if ex.Fallback {
 		// Negotiation failed on the air: the round degrades to plain
 		// CSMA — the contention winner transmits alone to its client.
-		span.EndErr(errExhausted)
 		timing.End()
 		res.Fallback = true
 		tx, err := lead.CSMATransmission(c.clk)
@@ -177,7 +173,6 @@ func (c *Cluster) RunRound() (*RoundResult, error) {
 		mSessionsConcurrent.Inc()
 	}
 	timing.End()
-	span.End()
 
 	if ack.Decision == mac.DecideConcurrent {
 		res.Concurrent = true

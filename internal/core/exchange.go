@@ -186,7 +186,7 @@ var errExhausted = errors.New("core: retry budget exhausted")
 //
 // ctx carries trace identity only (never a deadline — timeouts are the
 // medium's): under a sampled trace the REQ and ACK legs record
-// hierarchical child spans with retry counts; otherwise they stay flat.
+// child spans with retry counts; otherwise they record nothing.
 func runExchangeOverMedium(ctx context.Context, med medium.Medium, lead, fol *AP, airtimeUS uint32, now time.Duration, pol RetryPolicy) (*exchangeResult, error) {
 	res := &exchangeResult{}
 	tmo := mac.DefaultOverheadModel().ITSTimeouts().Clamp(pol.TimeoutFloor)
@@ -211,7 +211,7 @@ func runExchangeOverMedium(ctx context.Context, med medium.Medium, lead, fol *AP
 		}
 		return cause
 	}
-	fallback := func(span exSpan, cause FailCause) (*exchangeResult, error) {
+	fallback := func(span *obs.ActiveSpan, cause FailCause) (*exchangeResult, error) {
 		span.SetAttr("cause", cause.String())
 		span.EndErr(errExhausted)
 		res.Fallback = true
@@ -221,7 +221,7 @@ func runExchangeOverMedium(ctx context.Context, med medium.Medium, lead, fol *AP
 		mFallbacks.Inc()
 		return res, nil
 	}
-	abort := func(span exSpan, cause FailCause, err error) (*exchangeResult, error) {
+	abort := func(span *obs.ActiveSpan, cause FailCause, err error) (*exchangeResult, error) {
 		span.SetAttr("cause", cause.String())
 		span.EndErr(err)
 		res.Cause = cause
@@ -234,7 +234,7 @@ func runExchangeOverMedium(ctx context.Context, med medium.Medium, lead, fol *AP
 	// timer: a lost INIT, a garbled INIT (the follower stays silent), or
 	// a lost/garbled REQ all look like a missing REQ and trigger an INIT
 	// retransmission, which the follower answers idempotently.
-	_, span := startExSpan(ctx, "its.leg.req")
+	span := obs.ChildSpan(ctx, "its.leg.req")
 	var dec *LeadDecision
 	cause := CauseTimeout
 	for try := 0; dec == nil; try++ {
@@ -276,7 +276,7 @@ func runExchangeOverMedium(ctx context.Context, med medium.Medium, lead, fol *AP
 
 	// Leg 2: ACK out, applied at the follower. The leader retransmits
 	// the verdict until the follower accepts it or the budget runs out.
-	_, span = startExSpan(ctx, "its.leg.ack")
+	span = obs.ChildSpan(ctx, "its.leg.ack")
 	cause = CauseTimeout
 	for try := 0; ; try++ {
 		if try == pol.tries() {

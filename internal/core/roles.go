@@ -135,10 +135,9 @@ func (ap *AP) LeadExchange(ctx context.Context, med medium.Medium, folAddr mac.A
 func (ap *AP) FollowExchange(ctx context.Context, med medium.Medium, wait time.Duration, now time.Duration, pol RetryPolicy) (*mac.ITSAck, *precoding.Transmission, ExchangeStats, error) {
 	var stats ExchangeStats
 	tmo := mac.DefaultOverheadModel().ITSTimeouts().Clamp(pol.TimeoutFloor)
-	// The span opens flat and is upgraded to a hierarchical child once a
-	// leader's INIT reveals the trace this exchange belongs to.
-	span := obs.Trace("its.follow")
-	var hier *obs.ActiveSpan
+	// The span stays nil until a leader's INIT reveals the trace this
+	// exchange belongs to.
+	var span *obs.ActiveSpan
 
 	fail := func(cause FailCause, err error) (*mac.ITSAck, *precoding.Transmission, ExchangeStats, error) {
 		stats.Cause = cause
@@ -146,11 +145,7 @@ func (ap *AP) FollowExchange(ctx context.Context, med medium.Medium, wait time.D
 		if stats.Fallback {
 			mFallbacks.Inc()
 		}
-		if hier != nil {
-			hier.EndErr(err)
-		} else {
-			span.EndErr(err)
-		}
+		span.EndErr(err)
 		return nil, nil, stats, err
 	}
 
@@ -180,10 +175,7 @@ func (ap *AP) FollowExchange(ctx context.Context, med medium.Medium, wait time.D
 		reqFrame = r
 		// Adopt the leader's trace, if the INIT carried one.
 		if init, err := mac.UnmarshalITSInit(data); err == nil && len(init.TraceCtx) > 0 {
-			rctx := obs.ContextWithRemoteBinary(ctx, init.TraceCtx)
-			if h := obs.ChildSpan(rctx, "its.follow"); h != nil {
-				hier = h
-			}
+			span = obs.ChildSpan(obs.ContextWithRemoteBinary(ctx, init.TraceCtx), "its.follow")
 		}
 	}
 
@@ -222,12 +214,8 @@ func (ap *AP) FollowExchange(ctx context.Context, med medium.Medium, wait time.D
 			}
 			return fail(CauseAckHandle, fmt.Errorf("follower ACK: %w", err))
 		}
-		if hier != nil {
-			hier.SetAttr("retries", strconv.Itoa(stats.Retries))
-			hier.End()
-		} else {
-			span.End()
-		}
+		span.SetAttr("retries", strconv.Itoa(stats.Retries))
+		span.End()
 		return ack, tx, stats, nil
 	}
 	return fail(cause, fmt.Errorf("%w: no verdict after %d tries (%v)", ErrFallback, pol.tries(), cause))

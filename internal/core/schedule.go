@@ -7,7 +7,6 @@ import (
 
 	"copa/internal/channel"
 	"copa/internal/mac"
-	"copa/internal/obs"
 	"copa/internal/power"
 )
 
@@ -59,8 +58,6 @@ func (p *Pair) RunSchedule(cfg ScheduleConfig) (ScheduleResult, error) {
 	if cfg.Duration <= 0 {
 		return ScheduleResult{}, fmt.Errorf("core: non-positive duration")
 	}
-	span := obs.Trace("core.schedule")
-	defer span.End()
 	defer mScheduleSeconds.Begin().End()
 	mScheduleRuns.Inc()
 	refresh := cfg.RefreshInterval

@@ -7,6 +7,7 @@ import (
 	"copa/internal/channel"
 	"copa/internal/mac"
 	"copa/internal/medium"
+	"copa/internal/obs"
 	"copa/internal/power"
 	"copa/internal/precoding"
 	"copa/internal/rng"
@@ -129,7 +130,10 @@ func (p *Pair) RunExchange(airtimeUS uint32) (*Session, error) {
 // caller's trace; with a plain context it behaves exactly like
 // RunExchange.
 func (p *Pair) RunExchangeContext(ctx context.Context, airtimeUS uint32) (*Session, error) {
-	ctx, span := startExSpan(ctx, "its.exchange")
+	span := obs.ChildSpan(ctx, "its.exchange")
+	if span != nil {
+		ctx = obs.ContextWithSpan(ctx, span.Context())
+	}
 	timing := mExchangeSeconds.Begin()
 	mSessions.Inc()
 	leader := p.src.Intn(2)

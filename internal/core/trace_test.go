@@ -123,3 +123,18 @@ func TestRunExchangeContextStitching(t *testing.T) {
 		}
 	}
 }
+
+// TestUntracedExchangeRecordsNoSpans: without a caller's sampled trace
+// an exchange records no spans at all — library code only adds child
+// spans to a trace someone else started.
+func TestUntracedExchangeRecordsNoSpans(t *testing.T) {
+	p := newTestPair(t, 25, channel.Scenario4x2, strategy.ModeMax)
+	p.MeasureCSI()
+	before := obs.Tracing().Total()
+	if _, err := p.RunExchange(4000); err != nil {
+		t.Fatal(err)
+	}
+	if got := obs.Tracing().Total(); got != before {
+		t.Fatalf("untraced RunExchange recorded %d spans, want 0", got-before)
+	}
+}

@@ -323,13 +323,13 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
-// rpcSpan continues the caller's trace into a coordinator-side span.
+// startRPCSpan continues the caller's trace into a coordinator-side span.
 // Workers inject the campaign root's traceparent on every RPC, so these
 // spans — and the remote unit spans between them — share one TraceID.
 // Requests that predate the worker learning the traceparent (spec fetch,
 // the join itself) carry none; those parent directly on the campaign
 // root so the whole conversation still lands in one trace.
-func (c *Coordinator) rpcSpan(r *http.Request, name string) *obs.ActiveSpan {
+func (c *Coordinator) startRPCSpan(r *http.Request, name string) *obs.ActiveSpan {
 	ctx := obs.ExtractHTTP(r.Context(), r.Header)
 	if _, ok := obs.SpanFromContext(ctx); !ok {
 		ctx = obs.ContextWithSpan(ctx, c.span.Context())
@@ -356,7 +356,7 @@ func (c *Coordinator) handleSpec(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	sample := mRPCSeconds.Begin()
 	defer sample.End()
-	sp := c.rpcSpan(r, "fleet.join")
+	sp := c.startRPCSpan(r, "fleet.join")
 	var req JoinRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		sp.EndErr(err)
@@ -425,7 +425,7 @@ func (c *Coordinator) touchLocked(worker int) {
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	sample := mRPCSeconds.Begin()
 	defer sample.End()
-	sp := c.rpcSpan(r, "fleet.lease")
+	sp := c.startRPCSpan(r, "fleet.lease")
 	var req LeaseRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		sp.EndErr(err)
@@ -469,7 +469,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	sample := mRPCSeconds.Begin()
 	defer sample.End()
-	sp := c.rpcSpan(r, "fleet.heartbeat")
+	sp := c.startRPCSpan(r, "fleet.heartbeat")
 	var req HeartbeatRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		sp.EndErr(err)
@@ -493,7 +493,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	sample := mRPCSeconds.Begin()
 	defer sample.End()
-	sp := c.rpcSpan(r, "fleet.complete")
+	sp := c.startRPCSpan(r, "fleet.complete")
 	var req CompleteRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		sp.EndErr(err)

@@ -1,7 +1,13 @@
 // Package obs is the COPA pipeline's stdlib-only observability layer:
 // an allocation-free metrics registry (atomic counters, gauges and
-// fixed-bucket histograms/timers), a lightweight span tracer with
-// ring-buffer retention, and a log/slog-based structured logger.
+// fixed-bucket histograms/timers), a hierarchical span tracer with
+// ring-buffer retention and W3C-style propagation, and a
+// log/slog-based structured logger.
+//
+// Spans are recorded only under a sampled trace. Transport edges and
+// CLI mains root one with StartSpan; library code records a stage with
+// ChildSpan, which returns a nil span — a free, allocation-less no-op —
+// when the caller's context carries no trace.
 //
 // The design is handle-based: instrumented packages resolve their
 // metrics once at package init
@@ -68,8 +74,3 @@ var defTracer = NewTracer(1024)
 
 // Tracing returns the process-wide tracer.
 func Tracing() *Tracer { return defTracer }
-
-// Trace starts a span on the default tracer. End it with Span.End:
-//
-//	defer obs.Trace("its.exchange").End()
-func Trace(name string) Span { return defTracer.Start(name) }

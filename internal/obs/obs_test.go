@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"log/slog"
@@ -51,8 +52,9 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 		t.Fatal("nil registry snapshot must be empty")
 	}
 	var tr *Tracer
-	tr.Start("x").End()
-	tr.Event("x")
+	_, sp := tr.StartSpan(context.Background(), "x")
+	sp.End()
+	tr.ChildSpan(context.Background(), "x").End()
 	if tr.Total() != 0 || tr.Recent(0) != nil {
 		t.Fatal("nil tracer must be inert")
 	}
@@ -152,11 +154,13 @@ func TestBucketHelpers(t *testing.T) {
 
 func TestTracerRing(t *testing.T) {
 	tr := NewTracer(4)
+	ctx := context.Background()
 	for i := 0; i < 6; i++ {
-		sp := tr.Start("op")
+		_, sp := tr.StartSpan(ctx, "op")
 		sp.End()
 	}
-	tr.Event("evt")
+	_, sp := tr.StartSpan(ctx, "evt")
+	sp.End()
 	if got := tr.Total(); got != 7 {
 		t.Fatalf("total = %d, want 7", got)
 	}
@@ -174,10 +178,13 @@ func TestTracerRing(t *testing.T) {
 
 func TestTracerErrSpans(t *testing.T) {
 	tr := NewTracer(4)
-	tr.Start("ok").EndErr(nil)
-	tr.Start("bad").EndErr(io.ErrUnexpectedEOF)
+	ctx := context.Background()
+	_, ok := tr.StartSpan(ctx, "ok")
+	ok.EndErr(nil)
+	_, bad := tr.StartSpan(ctx, "bad")
+	bad.EndErr(io.ErrUnexpectedEOF)
 	recent := tr.Recent(0)
-	if recent[0].Err == "" || recent[1].Err != "" {
+	if recent[0].Err != io.ErrUnexpectedEOF.Error() || recent[1].Err != "" {
 		t.Fatalf("error spans mis-recorded: %+v", recent)
 	}
 }

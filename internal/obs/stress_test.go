@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"sync"
 	"testing"
 )
@@ -30,7 +31,7 @@ func TestRegistryStress(t *testing.T) {
 				// Get-or-create races on the maps too.
 				r.Counter("stress.counter").Add(0)
 				if i%100 == 0 {
-					sp := tr.Start("stress")
+					_, sp := tr.StartSpan(context.Background(), "stress")
 					sp.End()
 				}
 			}

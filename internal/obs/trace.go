@@ -8,6 +8,8 @@ import (
 )
 
 // SpanRecord is one finished span kept in a tracer's ring buffer.
+// Spans are started with StartSpan or ChildSpan, so every record
+// carries its trace identity.
 type SpanRecord struct {
 	// Name identifies the operation ("its.exchange", "scenario.4x2").
 	Name string `json:"name"`
@@ -18,10 +20,9 @@ type SpanRecord struct {
 	// Err holds the error text for spans ended with EndErr, "" on
 	// success.
 	Err string `json:"err,omitempty"`
-	// Trace, ID and Parent link hierarchical spans (StartSpan/ChildSpan)
-	// into one request tree: all spans of a request share Trace, and
-	// Parent names the enclosing span's ID ("" for the root). Flat spans
-	// recorded with Tracer.Start leave all three empty.
+	// Trace, ID and Parent link spans into one request tree: all spans
+	// of a request share Trace, and Parent names the enclosing span's ID
+	// ("" for the root).
 	Trace  string `json:"trace_id,omitempty"`
 	ID     string `json:"span_id,omitempty"`
 	Parent string `json:"parent_id,omitempty"`
@@ -48,42 +49,6 @@ func NewTracer(capacity int) *Tracer {
 	return &Tracer{ring: make([]SpanRecord, 0, capacity)}
 }
 
-// Span is an in-flight operation started with Tracer.Start. It is a
-// value type; dropping it without End simply records nothing.
-type Span struct {
-	t     *Tracer
-	name  string
-	start time.Time
-}
-
-// Start begins a span. When tracing is disabled (or the tracer is nil)
-// the returned span is inert and End is free.
-func (t *Tracer) Start(name string) Span {
-	if t == nil || !gate.Load() {
-		return Span{}
-	}
-	return Span{t: t, name: name, start: time.Now()}
-}
-
-// End finishes the span successfully.
-func (s Span) End() { s.finish("") }
-
-// EndErr finishes the span, recording err's text if non-nil.
-func (s Span) EndErr(err error) {
-	if err != nil {
-		s.finish(err.Error())
-		return
-	}
-	s.finish("")
-}
-
-func (s Span) finish(errText string) {
-	if s.t == nil {
-		return
-	}
-	s.t.record(SpanRecord{Name: s.name, Start: s.start, Duration: time.Since(s.start), Err: errText})
-}
-
 // record appends one finished span to the ring, overwriting the oldest
 // retained span once the ring is full.
 func (t *Tracer) record(rec SpanRecord) {
@@ -96,14 +61,6 @@ func (t *Tracer) record(rec SpanRecord) {
 	t.next = (t.next + 1) % cap(t.ring)
 	t.total++
 	t.mu.Unlock()
-}
-
-// Event records an instantaneous, zero-duration span.
-func (t *Tracer) Event(name string) {
-	if t == nil || !gate.Load() {
-		return
-	}
-	Span{t: t, name: name, start: time.Now()}.finish("")
 }
 
 // Total returns how many spans have ever been recorded (including ones
@@ -135,9 +92,9 @@ func (t *Tracer) TraceSpans(traceID string) []SpanRecord {
 }
 
 // WriteJSON dumps every retained span as an indented JSON array,
-// oldest first — the -trace-out format. Hierarchical spans carry
+// oldest first — the -trace-out format. Spans carry
 // trace_id/span_id/parent_id so two processes' dumps can be joined on
-// trace_id; flat spans omit them.
+// trace_id.
 func (t *Tracer) WriteJSON(w io.Writer) error {
 	recent := t.Recent(0)
 	// Reverse newest-first into causal order.

@@ -11,13 +11,12 @@ import (
 	"time"
 )
 
-// This file is the request-scoped half of the tracer: hierarchical
-// spans linked by TraceID/SpanID/parent, carried through
-// context.Context, and propagated across process boundaries as a W3C
-// traceparent-style HTTP header or a compact 25-byte binary field in
-// ITS control frames. The flat Tracer ring in trace.go stays the
-// storage layer — hierarchical spans land in the same ring, with their
-// identity fields filled in, so /debug/spans and RecentSpans see both.
+// This file is the request-scoped half of the tracer: spans linked by
+// TraceID/SpanID/parent, carried through context.Context, and
+// propagated across process boundaries as a W3C traceparent-style HTTP
+// header or a compact 25-byte binary field in ITS control frames. The
+// Tracer ring in trace.go is the storage layer that /debug/spans and
+// RecentSpans read.
 
 // TraceID identifies one end-to-end request across every process it
 // touches. The zero value means "no trace".
@@ -130,8 +129,10 @@ func sampleTrace() bool {
 type ctxKey struct{}
 
 // ContextWithSpan returns ctx carrying sc; StartSpan/ChildSpan use it
-// as the parent. Mostly useful in tests — StartSpan installs its own
-// context automatically.
+// as the parent. StartSpan installs its own context automatically; a
+// ChildSpan that parents further spans passes
+// ContextWithSpan(ctx, sp.Context()) down, behind an sp != nil check so
+// the untraced path stays allocation-free.
 func ContextWithSpan(ctx context.Context, sc SpanContext) context.Context {
 	return context.WithValue(ctx, ctxKey{}, sc)
 }

@@ -236,6 +236,25 @@ func TestStartSpanDisabledGate(t *testing.T) {
 	}
 }
 
+// TestChildSpanUntracedAllocs pins the cost of instrumented library
+// code called without a trace: with instrumentation on, ChildSpan on a
+// trace-less or unsampled context and every method on the resulting nil
+// span allocate nothing.
+func TestChildSpanUntracedAllocs(t *testing.T) {
+	for name, ctx := range map[string]context.Context{
+		"background": context.Background(),
+		"unsampled":  ContextWithSpan(context.Background(), SpanContext{}),
+	} {
+		if n := testing.AllocsPerRun(100, func() {
+			sp := ChildSpan(ctx, "untraced")
+			sp.SetAttr("k", "v")
+			sp.EndErr(nil)
+		}); n != 0 {
+			t.Errorf("%s: untraced ChildSpan allocates %v/op, want 0", name, n)
+		}
+	}
+}
+
 // TestHierarchicalSpanStress races many goroutines starting/ending
 // nested spans against readers; under -race this is the tracing layer's
 // concurrency safety net (satellite: race-stress for hierarchical

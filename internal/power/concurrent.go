@@ -49,16 +49,6 @@ type Config struct {
 	// Concurrent. Leave nil to use a private arena per call.
 	Scratch *precoding.Workspace
 
-	// Warm, when set, seeds the Jacobi iteration from a previous
-	// Result's power grids instead of the equal-split cold start — the
-	// incremental re-allocation hook (internal/drift): on a channel that
-	// has barely drifted the previous epoch's solution is already near
-	// the fixed point and the iteration settles in one or two sweeps.
-	// Ignored unless the shape (sender count, subcarriers, streams)
-	// matches. The iteration still snapshots the best state seen, so a
-	// stale warm start can slow convergence but never worsen the result
-	// below the first re-allocated sweep.
-	Warm *Result
 	// WarmDrops[i][s], when non-nil, is sender i stream s's previous
 	// Allocation.Dropped; the per-stream inner solves then run the
 	// warm-started Equi-SNR scan (EquiSNRWarmWS — bit-identical results,
@@ -146,22 +136,6 @@ func newPowerGrid(nSC, streams int) [][]float64 {
 	return grid
 }
 
-// warmCopy copies a previous solve's power grid into dst, reporting
-// false (dst untouched beyond rows already copied) on any shape
-// mismatch.
-func warmCopy(dst, src [][]float64) bool {
-	if len(src) != len(dst) {
-		return false
-	}
-	for k := range dst {
-		if len(src[k]) != len(dst[k]) {
-			return false
-		}
-		copy(dst[k], src[k])
-	}
-	return true
-}
-
 func iterate(senders []SenderCSI, cfg Config) *Result {
 	timing := mAllocSeconds.Begin()
 	n := len(senders)
@@ -181,41 +155,19 @@ func iterate(senders []SenderCSI, cfg Config) *Result {
 	tx := make([]*precoding.Transmission, n)
 	cur := make([][][]float64, n)
 	next := make([][][]float64, n)
-	warm := cfg.Warm
-	if warm != nil && len(warm.Tx) != n {
-		warm = nil
-	}
 	for i, s := range senders {
 		streams := s.Precoder.Streams
 		cur[i] = newPowerGrid(nSC, streams)
 		next[i] = newPowerGrid(nSC, streams)
-		if warm != nil && !warmCopy(cur[i], warm.Tx[i].PowerMW) {
-			warm = nil // shape mismatch: fall back to the cold start for all
-		}
-		if warm == nil {
-			// Equal split start (the paper's assumption about the other
-			// sender's initial behaviour); same arithmetic as EqualSplit.
-			per := s.BudgetMW / float64(nSC*streams)
-			for _, row := range cur[i] {
-				for st := range row {
-					row[st] = per
-				}
+		// Equal split start (the paper's assumption about the other
+		// sender's initial behaviour); same arithmetic as EqualSplit.
+		per := s.BudgetMW / float64(nSC*streams)
+		for _, row := range cur[i] {
+			for st := range row {
+				row[st] = per
 			}
 		}
 		tx[i] = precoding.NewTransmission(s.Precoder, cur[i], cfg.Impairments)
-	}
-	if warm == nil && cfg.Warm != nil {
-		// A partially-copied warm start would be neither the previous
-		// solution nor equal split; re-seed every sender cold.
-		for i, s := range senders {
-			per := s.BudgetMW / float64(nSC*s.Precoder.Streams)
-			for _, row := range cur[i] {
-				for st := range row {
-					row[st] = per
-				}
-			}
-			tx[i] = precoding.NewTransmission(s.Precoder, cur[i], cfg.Impairments)
-		}
 	}
 	// warmHint returns the per-(sender, stream) drop hint for the
 	// warm-started inner scan, or -1 (no hint) when none was provided.

@@ -130,52 +130,3 @@ func TestConcurrentWarmDropsBitIdentical(t *testing.T) {
 		}
 	}
 }
-
-// TestConcurrentWarmSeedNeverRegresses: seeding the Jacobi iteration
-// from a previous Result on the SAME (static) channel must return an
-// aggregate at least as good as the cold solve — the initial snapshot
-// captures the seed itself, and the best-seen state is only replaced on
-// strict improvement.
-func TestConcurrentWarmSeedNeverRegresses(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
-		senders, cfg := pairCSI(t, 0x5eed+seed, true)
-		cold := Concurrent(senders, cfg)
-
-		warmCfg := cfg
-		warmCfg.Warm = cold
-		warmCfg.WarmDrops = [][]int{{0, 0}, {0, 0}}
-		warm := Concurrent(senders, warmCfg)
-		if warm.Aggregate() < cold.Aggregate() {
-			t.Fatalf("seed=%d: warm seed regressed aggregate: %g < %g",
-				seed, warm.Aggregate(), cold.Aggregate())
-		}
-		if warm.Iterations > cold.Iterations {
-			t.Fatalf("seed=%d: warm seed took more iterations (%d) than cold (%d)",
-				seed, warm.Iterations, cold.Iterations)
-		}
-	}
-}
-
-// TestConcurrentWarmShapeMismatchFallsBack: a Warm result whose grids
-// don't match the current solve's shape must be ignored, reproducing
-// the cold result exactly.
-func TestConcurrentWarmShapeMismatchFallsBack(t *testing.T) {
-	senders, cfg := pairCSI(t, 0xbad5, false)
-	cold := Concurrent(senders, cfg)
-
-	soloSenders, _ := pairCSI(t, 0xbad5, false)
-	solo := Sequential(soloSenders[0], cfg)
-
-	warmCfg := cfg
-	warmCfg.Warm = solo // one sender, wrong shape for a two-sender solve
-	warm := Concurrent(senders, warmCfg)
-	for i := range cold.Tx {
-		for k := range cold.Tx[i].PowerMW {
-			for s := range cold.Tx[i].PowerMW[k] {
-				if cold.Tx[i].PowerMW[k][s] != warm.Tx[i].PowerMW[k][s] {
-					t.Fatalf("sender %d sc %d stream %d: mismatched fallback", i, k, s)
-				}
-			}
-		}
-	}
-}

@@ -382,31 +382,31 @@ func (s *Server) Allocate(ctx context.Context, req Request) (res *Result, shared
 
 	// Stage: cache — the lock-held lookup against the result cache and
 	// the in-flight table.
-	cSpan := obs.ChildSpan(ctx, "serve.cache")
+	cacheSp := obs.ChildSpan(ctx, "serve.cache")
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		cSpan.EndErr(ErrServerClosed)
+		cacheSp.EndErr(ErrServerClosed)
 		mShedClosed.Inc()
 		return nil, false, ErrServerClosed
 	}
 	if res, ok := s.cache.get(k); ok {
 		s.mu.Unlock()
-		cSpan.SetAttr("cache", "hit")
-		cSpan.End()
+		cacheSp.SetAttr("cache", "hit")
+		cacheSp.End()
 		mCacheHits.Inc()
 		return res, true, nil
 	}
 	if f, ok := s.inflight[k]; ok {
 		s.mu.Unlock()
-		cSpan.SetAttr("cache", "inflight")
-		cSpan.End()
+		cacheSp.SetAttr("cache", "inflight")
+		cacheSp.End()
 		mInflightDedup.Inc()
 		res, err := awaitFlight(ctx, f)
 		return res, true, err
 	}
-	cSpan.SetAttr("cache", "miss")
-	cSpan.End()
+	cacheSp.SetAttr("cache", "miss")
+	cacheSp.End()
 	mCacheMisses.Inc()
 
 	// Stage: admission — registering the flight and entering the queue.

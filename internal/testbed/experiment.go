@@ -97,8 +97,7 @@ func topologyOutcomes(dep *channel.Deployment, cfg Config, src *rng.Source) (map
 // results computed so far are discarded (a partial population would bias
 // every aggregate).
 func RunScenario(ctx context.Context, sc channel.Scenario, cfg Config) (*ScenarioResult, error) {
-	span := obs.Trace("testbed.scenario")
-	defer span.End()
+	defer obs.ChildSpan(ctx, "testbed.scenario").End()
 	defer mScenarioSeconds.Begin().End()
 	mScenarioRuns.Inc()
 	deps := channel.GenerateTestbed(cfg.Seed, sc, cfg.Topologies)

@@ -23,7 +23,6 @@ type Figure2 struct {
 
 // RunFigure2 draws one indoor link at about −60 dBm and measures it.
 func RunFigure2(seed int64) Figure2 {
-	defer obs.Trace("testbed.figure2").End()
 	defer mFigureSeconds.Begin().End()
 	src := rng.New(seed)
 	link := channel.NewLink(src, 2, 1, channel.DBToLinear(-60-channel.MaxTxPowerDBm))
@@ -56,7 +55,6 @@ type Figure3 struct {
 // switches from beamforming (toward its own client) to nulling toward C1,
 // with realistic CSI/TX impairments, and we record what changes at C1.
 func RunFigure3(seed int64, topologies int) Figure3 {
-	defer obs.Trace("testbed.figure3").End()
 	defer mFigureSeconds.Begin().End()
 	master := rng.New(seed)
 	imp := channel.DefaultImpairments()
@@ -152,7 +150,6 @@ type Figure4 struct {
 
 // RunFigure4 measures one 4×2 topology.
 func RunFigure4(seed int64) Figure4 {
-	defer obs.Trace("testbed.figure4").End()
 	defer mFigureSeconds.Begin().End()
 	src := rng.New(seed)
 	imp := channel.DefaultImpairments()
@@ -204,7 +201,6 @@ type Figure7 struct {
 // phenomenon (COPA drops several subcarriers and reaches a higher
 // bitrate); the first candidate is returned if none does.
 func RunFigure7(seed int64) Figure7 {
-	defer obs.Trace("testbed.figure7").End()
 	defer mFigureSeconds.Begin().End()
 	var first Figure7
 	for s := seed; s < seed+24; s++ {
@@ -305,7 +301,6 @@ type Figure9 struct {
 // RunFigure9 samples the testbed population, streaming one topology at
 // a time (DeploymentAt) so the population never needs materializing.
 func RunFigure9(seed int64, topologies int) Figure9 {
-	defer obs.Trace("testbed.figure9").End()
 	defer mFigureSeconds.Begin().End()
 	var fig Figure9
 	for t := 0; t < topologies; t++ {
@@ -342,7 +337,11 @@ var Figure14Schemes = []string{
 // per-subcarrier rate selection. Cancelling ctx aborts between scenario
 // runs.
 func RunFigure14(ctx context.Context, seed int64, topologies int) (Figure14, error) {
-	defer obs.Trace("testbed.figure14").End()
+	span := obs.ChildSpan(ctx, "testbed.figure14")
+	defer span.End()
+	if span != nil {
+		ctx = obs.ContextWithSpan(ctx, span.Context())
+	}
 	defer mFigureSeconds.Begin().End()
 	fig := Figure14{Improvement: make(map[string]map[string]float64)}
 	for _, sc := range []channel.Scenario{channel.Scenario1x1, channel.Scenario4x2, channel.Scenario3x2} {

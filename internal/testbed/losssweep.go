@@ -93,8 +93,7 @@ func (s *LossSweep) MeanCSMABps() float64 { return Mean(s.CSMABps) }
 // machinery salvages. Cancelling ctx aborts the sweep between topology
 // cells and returns ctx.Err().
 func RunLossSweep(ctx context.Context, sc channel.Scenario, cfg LossSweepConfig) (*LossSweep, error) {
-	span := obs.Trace("testbed.losssweep")
-	defer span.End()
+	defer obs.ChildSpan(ctx, "testbed.losssweep").End()
 	if cfg.Topologies < 1 || cfg.Rounds < 1 {
 		return nil, fmt.Errorf("testbed: loss sweep needs ≥1 topology and round")
 	}

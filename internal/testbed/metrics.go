@@ -12,7 +12,7 @@ var (
 	// mTopologyAggMbps distributes per-topology COPA aggregate throughput
 	// (both clients, Mb/s) — the population behind Figs. 10–13.
 	mTopologyAggMbps = obs.H("copa.testbed.topology_agg_mbps", obs.LinearBuckets(0, 25, 16))
-	// mFigureSeconds times each RunFigure* entry point; the tracer's span
-	// names tell the figures apart.
+	// mFigureSeconds times each RunFigure* entry point; a traced caller's
+	// per-figure spans tell the figures apart.
 	mFigureSeconds = obs.T("copa.testbed.figure_seconds")
 )

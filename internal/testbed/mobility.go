@@ -100,8 +100,7 @@ func cloneDeployment(d *channel.Deployment) *channel.Deployment {
 // deployment and controller seed, so cells differ only in the swept
 // parameters. Cancelling ctx aborts between cells.
 func RunMobilitySweep(ctx context.Context, sc channel.Scenario, cfg MobilityConfig) (*MobilitySweep, error) {
-	span := obs.Trace("testbed.mobilitysweep")
-	defer span.End()
+	defer obs.ChildSpan(ctx, "testbed.mobilitysweep").End()
 	if cfg.Topologies < 1 {
 		return nil, fmt.Errorf("testbed: mobility sweep needs ≥1 topology")
 	}
