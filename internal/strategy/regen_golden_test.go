@@ -4,38 +4,33 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"sort"
 	"testing"
-
-	"copa/internal/channel"
-	"copa/internal/rng"
 )
 
+// TestRegenGolden prints fresh goldenOutcomes and goldenCOPAPlus tables.
 func TestRegenGolden(t *testing.T) {
 	if os.Getenv("REGEN_GOLDEN") == "" {
-		t.Skip("set REGEN_GOLDEN=1 to print a fresh golden table")
+		t.Skip("set REGEN_GOLDEN=1 to print fresh golden tables")
 	}
-	for _, name := range []string{"4x2", "1x1", "3x2"} {
-		src := rng.New(42)
-		dep := channel.NewDeployment(src.Split(1), goldenScenarios[name])
-		ev := NewEvaluator(dep, channel.DefaultImpairments(), src.Split(2))
-		outs, err := ev.EvaluateAll()
-		if err != nil {
-			t.Fatal(err)
+	for _, table := range []struct {
+		name     string
+		copaPlus bool
+	}{{"goldenOutcomes", false}, {"goldenCOPAPlus", true}} {
+		fmt.Printf("%s:\n", table.name)
+		for _, name := range []string{"4x2", "1x1", "3x2"} {
+			outs, kinds, err := goldenEval(name, table.copaPlus)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Printf("\t%q: {\n", name)
+			for _, k := range kinds {
+				o := outs[k]
+				fmt.Printf("\t\t{Kind(%d), %v, %v, %#016x, %#016x, %#016x, %#016x},\n",
+					int(k), o.Concurrent, o.SDA,
+					math.Float64bits(o.PerClient[0]), math.Float64bits(o.PerClient[1]),
+					math.Float64bits(o.Predicted[0]), math.Float64bits(o.Predicted[1]))
+			}
+			fmt.Printf("\t},\n")
 		}
-		kinds := make([]Kind, 0, len(outs))
-		for k := range outs {
-			kinds = append(kinds, k)
-		}
-		sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
-		fmt.Printf("\t%q: {\n", name)
-		for _, k := range kinds {
-			o := outs[k]
-			fmt.Printf("\t\t{Kind(%d), %v, %v, %#016x, %#016x, %#016x, %#016x},\n",
-				int(k), o.Concurrent, o.SDA,
-				math.Float64bits(o.PerClient[0]), math.Float64bits(o.PerClient[1]),
-				math.Float64bits(o.Predicted[0]), math.Float64bits(o.Predicted[1]))
-		}
-		fmt.Printf("\t},\n")
 	}
 }
