@@ -221,6 +221,91 @@ func TestRunKillAndResumeGolden(t *testing.T) {
 	}
 }
 
+// TestMergerStreamsContiguousPrefix feeds units out of order: each Add
+// merges exactly the units that now extend the prefix, only units ahead
+// of a gap stay pending, and the result matches an in-order feed.
+func TestMergerStreamsContiguousPrefix(t *testing.T) {
+	spec := testSpec()
+	unit := func(u int) *UnitResult {
+		ur := &UnitResult{Unit: u, Columns: make(map[string]*Column)}
+		ur.col("x").Add(float64(u) * 1.1)
+		ur.col("y").Add(float64(u * u))
+		return ur
+	}
+	inOrder := NewMerger(spec)
+	for u := 0; u < 4; u++ {
+		inOrder.Add(unit(u))
+	}
+	m := NewMerger(spec)
+	for _, step := range []struct{ unit, merged, pending int }{
+		{2, 0, 1}, {0, 1, 1}, {3, 0, 2}, {1, 3, 0},
+	} {
+		if got := m.Add(unit(step.unit)); got != step.merged {
+			t.Errorf("Add(%d) merged %d units, want %d", step.unit, got, step.merged)
+		}
+		if got := m.Pending(); got != step.pending {
+			t.Errorf("after Add(%d): %d pending, want %d", step.unit, got, step.pending)
+		}
+	}
+	if m.Result().Units != 4 {
+		t.Errorf("merged %d units, want 4", m.Result().Units)
+	}
+	if string(marshal(t, m.Result())) != string(marshal(t, inOrder.Result())) {
+		t.Error("out-of-order feed differs from in-order feed")
+	}
+}
+
+// TestRunCOPAPlusResumeFromGappedJournal runs EvaluateTopology's COPA+
+// pass on a few 4x2 topologies and resumes from a journal holding every
+// other unit, so the streaming merge must hold units ahead of each gap.
+// The resumed result must match an uninterrupted run byte for byte at
+// one and two workers.
+func TestRunCOPAPlusResumeFromGappedJournal(t *testing.T) {
+	spec := Spec{
+		Seed:       42,
+		Scenario:   channel.Scenario4x2,
+		Topologies: 5,
+		Shards:     5,
+		Profiles:   []Profile{{Name: "default", Impairments: channel.DefaultImpairments()}},
+		AgeBuckets: 1,
+	}
+	golden, err := Run(context.Background(), spec, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if golden.SchemeColumn("default", 0, SchemeCOPAP) == nil || golden.SchemeColumn("default", 0, SchemeCOPAPF) == nil {
+		t.Fatal("COPA+ columns missing")
+	}
+	want := marshal(t, golden)
+
+	for _, workers := range []int{1, 2} {
+		ckpt := filepath.Join(t.TempDir(), "campaign.jsonl")
+		jnl, _, err := OpenJournal(ckpt, spec, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for u := 1; u < spec.Units(); u += 2 {
+			res, err := EvalUnit(spec, u, nil, func() error { return nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := jnl.Record(res); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := jnl.Close(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(context.Background(), spec, Options{Workers: workers, Checkpoint: ckpt, Resume: true})
+		if err != nil {
+			t.Fatalf("workers=%d: resume: %v", workers, err)
+		}
+		if got := marshal(t, res); string(got) != string(want) {
+			t.Fatalf("workers=%d: result resumed from a gapped journal differs from an uninterrupted run", workers)
+		}
+	}
+}
+
 func TestRunRefusesExistingCheckpointWithoutResume(t *testing.T) {
 	spec := testSpec()
 	ckpt := filepath.Join(t.TempDir(), "campaign.jsonl")

@@ -75,9 +75,7 @@ type Coordinator struct {
 
 	mu         sync.Mutex
 	leases     *leaseTable
-	buffer     map[int]*campaign.UnitResult // completed, awaiting in-order merge
-	mergedCols map[string]*campaign.Column
-	nextMerge  int
+	merge      *campaign.Merger
 	doneUnits  []bool
 	completed  int
 	resumed    int
@@ -119,17 +117,16 @@ func NewCoordinator(ctx context.Context, spec campaign.Spec, opt CoordinatorOpti
 	}
 	_, span := obs.StartSpan(ctx, "fleet.campaign")
 	c := &Coordinator{
-		spec:       spec,
-		fp:         spec.Fingerprint(),
-		opt:        opt,
-		epoch:      time.Now().UnixNano(),
-		span:       span,
-		buffer:     make(map[int]*campaign.UnitResult),
-		mergedCols: make(map[string]*campaign.Column),
-		total:      spec.Units(),
-		workers:    make(map[int]*workerState),
-		finished:   make(chan struct{}),
-		stopTick:   make(chan struct{}),
+		spec:     spec,
+		fp:       spec.Fingerprint(),
+		opt:      opt,
+		epoch:    time.Now().UnixNano(),
+		span:     span,
+		merge:    campaign.NewMerger(spec),
+		total:    spec.Units(),
+		workers:  make(map[int]*workerState),
+		finished: make(chan struct{}),
+		stopTick: make(chan struct{}),
 	}
 	if sc := span.Context(); sc.Valid() {
 		c.tp = sc.Traceparent()
@@ -160,7 +157,7 @@ func NewCoordinator(ctx context.Context, spec campaign.Spec, opt CoordinatorOpti
 			return nil, err
 		}
 		for u, res := range done {
-			c.buffer[u] = res
+			mUnitsMerged.Add(uint64(c.merge.Add(res)))
 			c.doneUnits[u] = true
 			c.completed++
 			_, _, sh := spec.UnitCoord(u)
@@ -178,8 +175,8 @@ func NewCoordinator(ctx context.Context, spec campaign.Spec, opt CoordinatorOpti
 	for sh, g := range c.gauges {
 		g.Set(float64(c.shardDone[sh]) / float64(unitsPerShard))
 	}
+	mMergeLag.Set(float64(c.merge.Pending()))
 	c.mu.Lock()
-	c.drainLocked()
 	if c.completed == c.total {
 		c.finishLocked(nil)
 	}
@@ -246,8 +243,8 @@ func (c *Coordinator) failLocked(err error) {
 }
 
 // finishLocked seals the campaign: on success the merged columns become
-// the Result (bytes identical to campaign.Run's finalizer, because both
-// merged the same units in the same ascending order).
+// the Result (bytes identical to campaign.Run's, because both merge
+// through a campaign.Merger in the same ascending unit order).
 func (c *Coordinator) finishLocked(err error) {
 	if c.done {
 		return
@@ -255,28 +252,10 @@ func (c *Coordinator) finishLocked(err error) {
 	c.done = true
 	c.err = err
 	if err == nil {
-		c.result = &campaign.Result{Spec: c.spec, Units: c.total, Columns: c.mergedCols}
+		c.result = c.merge.Result()
 	}
 	c.span.EndErr(err)
 	close(c.finished)
-}
-
-// drainLocked merges every buffered unit that extends the contiguous
-// prefix, in ascending unit order — the merge-order invariant that
-// makes the coordinator's floating-point results, and therefore its
-// serialized bytes, identical to the single-process engine's.
-func (c *Coordinator) drainLocked() {
-	for {
-		ur, ok := c.buffer[c.nextMerge]
-		if !ok {
-			break
-		}
-		delete(c.buffer, c.nextMerge)
-		campaign.MergeUnit(c.mergedCols, ur)
-		c.nextMerge++
-		mUnitsMerged.Inc()
-	}
-	mMergeLag.Set(float64(len(c.buffer)))
 }
 
 // progressLocked refreshes rate/ETA gauges and fires the callbacks.
@@ -307,7 +286,7 @@ func (c *Coordinator) progressLocked() {
 			"done", c.completed, "total", c.total,
 			"units_per_sec", fmt.Sprintf("%.2f", prog.UnitsPerSec),
 			"eta", prog.ETA.Round(time.Second).String(),
-			"workers_live", live, "merge_lag", len(c.buffer))
+			"workers_live", live, "merge_lag", c.merge.Pending())
 	}
 }
 
@@ -555,7 +534,8 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.leases.complete(res.Unit)
-	c.buffer[res.Unit] = res
+	mUnitsMerged.Add(uint64(c.merge.Add(res)))
+	mMergeLag.Set(float64(c.merge.Pending()))
 	c.doneUnits[res.Unit] = true
 	c.completed++
 	if ws, ok := c.workers[req.Worker]; ok {
@@ -567,7 +547,6 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	_, _, sh := c.spec.UnitCoord(res.Unit)
 	c.shardDone[sh]++
 	c.gauges[sh].Set(float64(c.shardDone[sh]) / float64(c.spec.Cells()))
-	c.drainLocked()
 	c.progressLocked()
 	if c.completed == c.total {
 		c.finishLocked(nil)
@@ -619,7 +598,7 @@ func (c *Coordinator) Stats() Stats {
 		Resumed:      c.resumed,
 		Total:        c.total,
 		LeasesActive: c.leases.active(),
-		MergeLag:     len(c.buffer),
+		MergeLag:     c.merge.Pending(),
 		Done:         c.done,
 	}
 }
