@@ -6,7 +6,7 @@ GO ?= go
 FUZZTIME ?= 30s
 # Canonical perf-gate subset and sampling (see cmd/copabench). Fixed -Nx
 # benchtime keeps allocs/op deterministic run to run.
-BENCH_PATTERN ?= EquiSNR|EvaluateAll|EigHermitianBatch|Figure9|ServeAllocate|CampaignUnit|SpanOverhead|OpenMetricsExposition|FleetMergeShard|DriftStep|IncrementalRealloc|ColdRealloc|RouterCachedHit|WireBinaryRoundTrip
+BENCH_PATTERN ?= EquiSNR|EvaluateAll|MercuryBest4x2|EigHermitianBatch|Figure9|ServeAllocate|CampaignUnit|SpanOverhead|OpenMetricsExposition|FleetMergeShard|DriftStep|IncrementalRealloc|ColdRealloc|RouterCachedHit|WireBinaryRoundTrip
 BENCH_COUNT ?= 3
 BENCH_TIME ?= 5x
 
@@ -69,12 +69,14 @@ govulncheck:
 # batched closed-form/unrolled eigensolver and Gram-eig SVD kernels vs
 # the generic Jacobi reference (internal/linalg property suites), the
 # batched precoding builders vs their scalar counterparts within
-# kernelEquivTol (internal/precoding), and the pinned golden outcome
-# bits (internal/strategy) — all under the race detector. CI runs it
+# kernelEquivTol (internal/precoding), the closed-form MMSE inverse and
+# mercury/water-filling vs their bisection oracles within 1e-9
+# (internal/power), and the pinned golden outcome bits plus the COPA+
+# goldens (internal/strategy) — all under the race detector. CI runs it
 # twice, with GOAMD64=v1 (bit-exact goldens) and v3 (FMA contraction,
 # tolerance fallback).
 kernel-equiv:
-	$(GO) test -race ./internal/linalg ./internal/precoding ./internal/strategy
+	$(GO) test -race ./internal/linalg ./internal/precoding ./internal/power ./internal/strategy
 
 # bench regenerates every paper figure/table and times the pipeline.
 bench:
