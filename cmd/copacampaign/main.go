@@ -51,7 +51,7 @@ func run(args []string, stdout *os.File) int {
 	profiles := fs.String("profiles", "default", "comma-separated impairment profiles to sweep (default, perfect)")
 	ageBuckets := fs.Int("age-buckets", 1, "CSI-age grid size (bucket a evaluates CSI aged a/n of a coherence time)")
 	deltaDB := fs.Float64("interference-delta-db", 0, "scale all cross-channels by this many dB (-10 = Fig. 12)")
-	skipPlus := fs.Bool("skip-copa-plus", false, "skip the slow mercury/water-filling (COPA+) variants")
+	skipPlus := fs.Bool("skip-copa-plus", false, "skip the mercury/water-filling (COPA+) variants, a second evaluation pass per topology")
 	multi := fs.Bool("multi-decoder", false, "evaluate with per-subcarrier rate selection")
 	mobility := fs.Bool("mobility", false, "run the drift-controller mobility sweep (speed × re-negotiation rate) instead of a scheme campaign")
 	mob := cliflags.Mobility(fs)

@@ -30,7 +30,7 @@ func run(args []string) int {
 	out := fs.String("o", "report.html", "output HTML file")
 	seed := fs.Int64("seed", 1, "master seed")
 	topologies := fs.Int("topologies", 30, "topologies per scenario")
-	skipPlus := fs.Bool("skip-copa-plus", false, "skip the slow COPA+ variants")
+	skipPlus := fs.Bool("skip-copa-plus", false, "skip the mercury/water-filling (COPA+) variants, a second evaluation pass per topology")
 	verbose := fs.Bool("v", false, "debug logging (per-section progress)")
 	_ = fs.Parse(args)
 	obs.SetVerbose(*verbose)

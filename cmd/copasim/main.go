@@ -42,7 +42,7 @@ func run(args []string) int {
 	lossRate := fs.Float64("loss", 0, "-fig loss: evaluate this single control-frame loss rate instead of the 0–30% sweep")
 	burst := fs.Float64("burst", 1, "-fig loss: mean loss-burst length in frames (>1 switches to Gilbert–Elliott bursts)")
 	mob := cliflags.Mobility(fs)
-	skipPlus := fs.Bool("skip-copa-plus", false, "skip the slow mercury/water-filling (COPA+) variants")
+	skipPlus := fs.Bool("skip-copa-plus", false, "skip the mercury/water-filling (COPA+) variants, a second evaluation pass per topology")
 	workers := fs.Int("workers", 0, "bound parallel topology evaluation (0 = GOMAXPROCS)")
 	outDir := fs.String("out", "", "directory to also write CSV data files into")
 	dbg := cliflags.Debug(fs)

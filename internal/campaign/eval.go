@@ -74,8 +74,9 @@ func EvaluateTopology(dep *channel.Deployment, imp channel.Impairments, src *rng
 
 	if !opt.SkipCOPAPlus {
 		// COPA+: same pipeline with iterated mercury/water-filling as the
-		// inner allocator (trace-driven in the paper for the same reason
-		// it is slower here: §4.2).
+		// inner allocator (§4.2; the paper evaluates it trace-driven for
+		// cost, here the closed-form MMSE inverse keeps it to about one
+		// more evaluation pass).
 		if opt.Workspace != nil {
 			opt.Workspace.Reset()
 		}
