@@ -204,12 +204,12 @@ func TestMMSEFunctionShape(t *testing.T) {
 func TestMMSEInverse(t *testing.T) {
 	for _, m := range []ofdm.Modulation{ofdm.BPSK, ofdm.QAM64} {
 		for _, v := range []float64{0.9, 0.5, 0.1, 0.01} {
-			g := mmseInverse(m, v)
+			g := tableFor(m).inverse(v)
 			if got := MMSE(m, g); math.Abs(got-v) > 0.02 {
 				t.Errorf("%v: mmse(mmse⁻¹(%g)) = %g", m, v, got)
 			}
 		}
-		if mmseInverse(m, 1.5) != 0 {
+		if tableFor(m).inverse(1.5) != 0 {
 			t.Error("inverse above 1 should clamp to 0")
 		}
 	}
