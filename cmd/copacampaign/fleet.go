@@ -47,9 +47,8 @@ func runFleetCoordinator(ctx context.Context, spec campaign.Spec, cf *cliflags.C
 	if err != nil {
 		return nil, fmt.Errorf("coordinator listen on %s: %w", ff.Coordinator, err)
 	}
-	srv := &http.Server{Handler: coord.Handler()}
-	go srv.Serve(ln)
-	defer srv.Close()
+	stop := serveHTTP(ln, coord.Handler(), 5*time.Second)
+	defer stop()
 	base := "http://" + ln.Addr().String()
 	obs.Logger().Info("fleet coordinator listening", "url", base, "units", spec.Units())
 	if ff.AddrFile != "" {
@@ -66,6 +65,22 @@ func runFleetCoordinator(ctx context.Context, spec campaign.Spec, cf *cliflags.C
 		}()
 	}
 	return coord.Wait(ctx)
+}
+
+// serveHTTP serves h on ln until the returned stop is called. stop
+// shuts down gracefully, waiting up to drain for in-flight requests:
+// the RPC that completes the campaign unblocks Wait before its response
+// is flushed, and a hard close would cut that response off, leaving the
+// worker retrying against a closed port. A drain timeout is ignored;
+// the run is over either way.
+func serveHTTP(ln net.Listener, h http.Handler, drain time.Duration) (stop func()) {
+	srv := &http.Server{Handler: h}
+	go srv.Serve(ln)
+	return func() {
+		ctx, cancel := context.WithTimeout(context.Background(), drain)
+		defer cancel()
+		_ = srv.Shutdown(ctx)
+	}
 }
 
 // runFleetWorker joins a coordinator and evaluates until the campaign

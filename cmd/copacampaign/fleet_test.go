@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"io"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -68,6 +71,45 @@ func TestRunFleetEndToEnd(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("fleet CLI output differs from in-process CLI output")
+	}
+}
+
+// TestServeHTTPDeliversFinalResponse reproduces the coordinator's lost
+// final reply. The fleet.complete call that finishes the campaign
+// unblocks Wait while its response is still unwritten; stopping the
+// server the moment Wait returns must still deliver that response.
+func TestServeHTTPDeliversFinalResponse(t *testing.T) {
+	finished := make(chan struct{})
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		close(finished)
+		time.Sleep(50 * time.Millisecond)
+		io.WriteString(w, "done")
+	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := serveHTTP(ln, h, 5*time.Second)
+
+	type reply struct {
+		body string
+		err  error
+	}
+	got := make(chan reply, 1)
+	go func() {
+		resp, err := http.Post("http://"+ln.Addr().String(), "application/json", nil)
+		if err != nil {
+			got <- reply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		got <- reply{string(body), err}
+	}()
+	<-finished
+	stop()
+	if r := <-got; r.err != nil || r.body != "done" {
+		t.Fatalf("final response lost: body %q, err %v", r.body, r.err)
 	}
 }
 
