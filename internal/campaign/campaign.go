@@ -77,19 +77,6 @@ type Spec struct {
 	MultiDecoder bool `json:"multi_decoder,omitempty"`
 }
 
-// DefaultSpec mirrors the paper's evaluation shape: 30 topologies,
-// WARP-class impairments, fresh CSI, one shard per four topologies.
-func DefaultSpec(seed int64) Spec {
-	return Spec{
-		Seed:       seed,
-		Scenario:   channel.Scenario4x2,
-		Topologies: 30,
-		Shards:     8,
-		Profiles:   DefaultProfiles(),
-		AgeBuckets: 1,
-	}
-}
-
 // Validate rejects specs the engine cannot shard deterministically.
 func (s Spec) Validate() error {
 	if s.Topologies < 1 {

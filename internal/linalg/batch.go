@@ -91,18 +91,6 @@ func (e *EigBatch) Vec(k, i, j int) complex128 {
 	return e.Vecs[(i*e.N+j)*e.Count+k]
 }
 
-// VecsMatrixInto writes the eigenvector matrix of batch entry k into dst
-// (reshaped to N×N).
-func (e *EigBatch) VecsMatrixInto(dst *Matrix, k int) {
-	n := e.N
-	dst.Rows, dst.Cols = n, n
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			dst.Data[i*n+j] = e.Vecs[(i*n+j)*e.Count+k]
-		}
-	}
-}
-
 // EigHermitianBatch diagonalizes every matrix in the batch with one kernel
 // dispatch on N. Results are carved from ws; entries follow the same
 // descending-eigenvalue convention as EigHermitianWS. The batched kernels

@@ -313,10 +313,6 @@ func UnmarshalITSAck(data []byte) (*ITSAck, error) {
 	return f, nil
 }
 
-// WireSize returns the serialized size of any marshaled frame, used for
-// airtime accounting.
-func WireSize(frame []byte) int { return len(frame) }
-
 // FrameTypeOf peeks at a frame's type from its header without validating
 // the CRC — what a receiver's filter does before committing to a full
 // parse. It reports false for frames too short or with a garbled magic.

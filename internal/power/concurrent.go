@@ -36,12 +36,6 @@ type Config struct {
 	MaxIters int
 	// Inner is the per-stream allocator; defaults to EquiSNR.
 	Inner InnerAllocator
-	// JointInner, when set, replaces the per-stream loop entirely with a
-	// joint allocation over all (subcarrier, stream) cells (see
-	// JointAware). Inner is ignored for senders with >1 stream when set.
-	// The coefs rows passed in are workspace-carved scratch: read them,
-	// don't retain them.
-	JointInner func(coefs [][]float64, budgetPerStreamMW float64) [][]float64
 
 	// Scratch, when set, is the workspace arena the iteration carves its
 	// SINR and allocation scratch from; the call resets it freely, so the
@@ -253,37 +247,25 @@ func iterate(senders []SenderCSI, cfg Config) *Result {
 			streams := s.Precoder.Streams
 			perStream := s.BudgetMW / float64(streams)
 			np := next[i]
-			if cfg.JointInner != nil && streams > 1 {
-				jp := cfg.JointInner(coefs, perStream)
-				for k := range jp {
-					for st := range jp[k] {
-						np[k][st] = jp[k][st]
-						if d := math.Abs(jp[k][st] - tx[i].PowerMW[k][st]); d > maxDelta {
-							maxDelta = d
-						}
-					}
+			col := ws.Float64s(nSC)
+			for st := 0; st < streams; st++ {
+				for k := range coefs {
+					col[k] = coefs[k][st]
 				}
-			} else {
-				col := ws.Float64s(nSC)
-				for st := 0; st < streams; st++ {
-					for k := range coefs {
-						col[k] = coefs[k][st]
-					}
-					var alloc Allocation
-					switch {
-					case cfg.Inner != nil:
-						alloc = cfg.Inner(col, perStream)
-					case warmHint(i, st) >= 0:
-						alloc = EquiSNRWarmWS(&ws.Workspace, col, perStream, warmHint(i, st))
-						setHint(i, st, alloc.Dropped)
-					default:
-						alloc = EquiSNRWS(&ws.Workspace, col, perStream)
-					}
-					for k := range np {
-						np[k][st] = alloc.PowerMW[k]
-						if d := math.Abs(alloc.PowerMW[k] - tx[i].PowerMW[k][st]); d > maxDelta {
-							maxDelta = d
-						}
+				var alloc Allocation
+				switch {
+				case cfg.Inner != nil:
+					alloc = cfg.Inner(col, perStream)
+				case warmHint(i, st) >= 0:
+					alloc = EquiSNRWarmWS(&ws.Workspace, col, perStream, warmHint(i, st))
+					setHint(i, st, alloc.Dropped)
+				default:
+					alloc = EquiSNRWS(&ws.Workspace, col, perStream)
+				}
+				for k := range np {
+					np[k][st] = alloc.PowerMW[k]
+					if d := math.Abs(alloc.PowerMW[k] - tx[i].PowerMW[k][st]); d > maxDelta {
+						maxDelta = d
 					}
 				}
 			}

@@ -199,49 +199,3 @@ func BenchmarkConcurrentEquiSINR(b *testing.B) {
 		Concurrent(senders, cfg)
 	}
 }
-
-func TestJointAwareInnerImprovesOrMatches(t *testing.T) {
-	// The joint-MCS-aware allocator (extension beyond the paper) should
-	// on average match or beat the per-stream heuristic under the shared
-	// decoder constraint.
-	var perStream, joint float64
-	for seed := int64(0); seed < 5; seed++ {
-		senders, cfg := pairCSI(t, 400+seed, true)
-		a := Concurrent(senders, cfg)
-		cfgJ := cfg
-		cfgJ.JointInner = JointAware
-		b := Concurrent(senders, cfgJ)
-		perStream += a.Aggregate()
-		joint += b.Aggregate()
-		for i := 0; i < 2; i++ {
-			if b.Tx[i].TotalPowerMW() > senders[i].BudgetMW*(1+1e-6) {
-				t.Errorf("seed %d sender %d: joint allocator overspent (%.2f mW)",
-					seed, i, b.Tx[i].TotalPowerMW())
-			}
-		}
-	}
-	if joint < perStream*0.97 {
-		t.Errorf("joint-aware %.1f Mb/s materially below per-stream %.1f",
-			joint/5e6, perStream/5e6)
-	}
-	t.Logf("per-stream %.1f vs joint-aware %.1f Mb/s (mean aggregate)", perStream/5e6, joint/5e6)
-}
-
-func TestJointAwareEdgeCases(t *testing.T) {
-	if out := JointAware(nil, 1); out != nil {
-		t.Error("empty coefs should return nil")
-	}
-	// All-dead coefficients fall back to equal split.
-	coefs := make([][]float64, 10)
-	for k := range coefs {
-		coefs[k] = []float64{0, 0}
-	}
-	out := JointAware(coefs, 5)
-	var sum float64
-	for k := range out {
-		sum += out[k][0] + out[k][1]
-	}
-	if math.Abs(sum-10) > 1e-9 {
-		t.Errorf("fallback budget %g, want 10 (5 per stream)", sum)
-	}
-}

@@ -6,18 +6,12 @@ import (
 	"copa/internal/precoding"
 )
 
-// StreamRatesFor predicts the per-stream 802.11 rates a client achieves
+// StreamRatesForWS predicts the per-stream 802.11 rates a client achieves
 // for a given pair of concurrent transmissions: it computes post-MMSE
 // per-subcarrier SINRs over the supplied channels and picks the best MCS
-// per stream. cross/crossTx may be nil for a sole sender.
-func StreamRatesFor(own *channel.Link, tx *precoding.Transmission, cross *channel.Link, crossTx *precoding.Transmission, noisePerSCMW float64) []ofdm.StreamRate {
-	var ws precoding.Workspace
-	return StreamRatesForWS(&ws, own, tx, cross, crossTx, noisePerSCMW)
-}
-
-// StreamRatesForWS is StreamRatesFor with SINR scratch carved from ws.
-// The returned slice is heap-allocated and safe to retain; only the
-// intermediate SINR matrices live in ws.
+// per stream. cross/crossTx may be nil for a sole sender. The returned
+// slice is heap-allocated and safe to retain; only the intermediate SINR
+// matrices are carved from ws.
 func StreamRatesForWS(ws *precoding.Workspace, own *channel.Link, tx *precoding.Transmission, cross *channel.Link, crossTx *precoding.Transmission, noisePerSCMW float64) []ofdm.StreamRate {
 	sinrs := precoding.StreamSINRsWS(ws, own, tx, cross, crossTx, noisePerSCMW)
 	rates := make([]ofdm.StreamRate, tx.Precoder.Streams)
@@ -52,16 +46,10 @@ func GoodputForWS(ws *precoding.Workspace, own *channel.Link, tx *precoding.Tran
 	return ofdm.JointBestRate(sinrs).GoodputBps
 }
 
-// MultiDecoderGoodputFor predicts goodput when the receiver can run an
+// MultiDecoderGoodputForWS predicts goodput when the receiver can run an
 // independent rate (and decoder) per subcarrier — the Fig. 14
-// hypothetical. Same SINR model as GoodputFor, different rate mapping.
-func MultiDecoderGoodputFor(own *channel.Link, tx *precoding.Transmission, cross *channel.Link, crossTx *precoding.Transmission, noisePerSCMW float64) float64 {
-	var ws precoding.Workspace
-	return MultiDecoderGoodputForWS(&ws, own, tx, cross, crossTx, noisePerSCMW)
-}
-
-// MultiDecoderGoodputForWS is MultiDecoderGoodputFor with SINR scratch
-// carved from ws.
+// hypothetical. Same SINR model as GoodputFor, different rate mapping;
+// the SINR scratch is carved from ws.
 func MultiDecoderGoodputForWS(ws *precoding.Workspace, own *channel.Link, tx *precoding.Transmission, cross *channel.Link, crossTx *precoding.Transmission, noisePerSCMW float64) float64 {
 	sinrs := precoding.StreamSINRsWS(ws, own, tx, cross, crossTx, noisePerSCMW)
 	var total float64
