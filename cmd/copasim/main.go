@@ -1,10 +1,13 @@
 // Command copasim regenerates the COPA paper's tables and figures on the
-// simulated testbed and prints the rows/series the paper reports.
+// simulated testbed and prints the rows/series the paper reports. -fig
+// its, dcf and cluster print the ITS control frames and the §3.1 MAC
+// fairness simulations. -out DIR writes a CSV per figure and a
+// self-contained DIR/report.html of the figures just printed.
 //
 // Usage:
 //
 //	copasim -fig 11                # one figure
-//	copasim -fig all -topologies 30
+//	copasim -fig all -topologies 30 -out results
 //	copasim -fig headlines         # the §1 claims
 //
 // Operational flags: -debug-addr serves expvar (/debug/vars), a registry
@@ -18,11 +21,13 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
 	"runtime/trace"
+	"strings"
 	"syscall"
 
 	"copa/internal/channel"
@@ -36,27 +41,26 @@ func main() { os.Exit(run(os.Args[1:])) }
 
 func run(args []string) int {
 	fs := flag.NewFlagSet("copasim", flag.ExitOnError)
-	fig := fs.String("fig", "all", "figure to reproduce: 2,3,4,7,9,10,11,12,13,14,table1,headlines,accuracy,backlog,loss,mobility,all")
+	fig := fs.String("fig", "all", "figure to reproduce: "+figureNames())
 	seed := cliflags.Seed(fs, 1)
-	topologies := fs.Int("topologies", 30, "number of topologies per scenario")
-	lossRate := fs.Float64("loss", 0, "-fig loss: evaluate this single control-frame loss rate instead of the 0–30% sweep")
-	burst := fs.Float64("burst", 1, "-fig loss: mean loss-burst length in frames (>1 switches to Gilbert–Elliott bursts)")
-	mob := cliflags.Mobility(fs)
-	skipPlus := fs.Bool("skip-copa-plus", false, "skip the mercury/water-filling (COPA+) variants, a second evaluation pass per topology")
-	workers := fs.Int("workers", 0, "bound parallel topology evaluation (0 = GOMAXPROCS)")
-	outDir := fs.String("out", "", "directory to also write CSV data files into")
+	o := &opts{mob: cliflags.Mobility(fs)}
+	fs.IntVar(&o.topologies, "topologies", 30, "number of topologies per scenario")
+	fs.Float64Var(&o.loss, "loss", 0, "-fig loss: evaluate this single control-frame loss rate instead of the 0–30% sweep")
+	fs.Float64Var(&o.burst, "burst", 1, "-fig loss: mean loss-burst length in frames (>1 switches to Gilbert–Elliott bursts)")
+	fs.BoolVar(&o.skipPlus, "skip-copa-plus", false, "skip the mercury/water-filling (COPA+) variants, a second evaluation pass per topology")
+	fs.IntVar(&o.workers, "workers", 0, "bound parallel topology evaluation (0 = GOMAXPROCS)")
+	fs.StringVar(&o.out, "out", "", "directory to also write CSV data files and report.html into")
 	dbg := cliflags.Debug(fs)
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	execTrace := fs.String("exec-trace", "", "write a runtime execution trace to this file")
 	_ = fs.Parse(args)
+	o.seed = *seed
 	// Ctrl-C (or SIGTERM) cancels the context the experiment harness
 	// runs under: the current figure aborts between topologies instead
 	// of the process dying mid-write.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	csvDir = *outDir
-	maxParallel = *workers
 	logger := obs.Logger()
 	stopDebug, err := dbg.Start()
 	if err != nil {
@@ -64,31 +68,28 @@ func run(args []string) int {
 		return 1
 	}
 	defer stopDebug()
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
+	for _, p := range []struct {
+		flag, path string
+		start      func(io.Writer) error
+		stop       func()
+	}{
+		{"cpuprofile", *cpuProfile, pprof.StartCPUProfile, pprof.StopCPUProfile},
+		{"exec-trace", *execTrace, trace.Start, trace.Stop},
+	} {
+		if p.path == "" {
+			continue
+		}
+		f, err := os.Create(p.path)
 		if err != nil {
-			logger.Error("cpuprofile failed", "err", err)
+			logger.Error(p.flag+" failed", "err", err)
 			return 1
 		}
 		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			logger.Error("cpuprofile failed", "err", err)
+		if err := p.start(f); err != nil {
+			logger.Error(p.flag+" failed", "err", err)
 			return 1
 		}
-		defer pprof.StopCPUProfile()
-	}
-	if *execTrace != "" {
-		f, err := os.Create(*execTrace)
-		if err != nil {
-			logger.Error("exec-trace failed", "err", err)
-			return 1
-		}
-		defer f.Close()
-		if err := trace.Start(f); err != nil {
-			logger.Error("exec-trace failed", "err", err)
-			return 1
-		}
-		defer trace.Stop()
+		defer p.stop()
 	}
 	defer func() {
 		if *memProfile == "" {
@@ -112,153 +113,162 @@ func run(args []string) int {
 	ctx, root := obs.StartSpan(ctx, "cli.sim")
 	defer root.End()
 
+	if o.out != "" {
+		o.report = newReport(o.seed, o.topologies)
+	}
 	failed := false
 	matched := false
-	runOne := func(name string, f func(ctx context.Context) error) {
-		if *fig != "all" && *fig != name {
-			return
+	for _, f := range figures {
+		if *fig != "all" && *fig != f.name {
+			continue
 		}
 		matched = true
 		if failed {
-			return
+			continue
 		}
-		fmt.Printf("\n===== %s =====\n", title(name))
-		logger.Debug("reproducing", "figure", name, "seed", *seed, "topologies", *topologies)
+		fmt.Printf("\n===== %s =====\n", f.title)
+		logger.Debug("reproducing", "figure", f.name, "seed", o.seed, "topologies", o.topologies)
 		sp := obs.ChildSpan(ctx, "cli.sim.figure")
-		sp.SetAttr("figure", name)
+		sp.SetAttr("figure", f.name)
 		fctx := ctx
 		if sp != nil {
 			fctx = obs.ContextWithSpan(ctx, sp.Context())
 		}
-		err := f(fctx)
+		err := f.run(fctx, o)
 		sp.EndErr(err)
 		if err != nil {
-			logger.Error("figure failed", "figure", name, "err", err)
+			logger.Error("figure failed", "figure", f.name, "err", err)
 			failed = true
 		}
 	}
-
-	runOne("2", func(context.Context) error { printFigure2(*seed); return nil })
-	runOne("3", func(context.Context) error { printFigure3(*seed, *topologies); return nil })
-	runOne("4", func(context.Context) error { printFigure4(*seed); return nil })
-	runOne("table1", func(context.Context) error { printTable1(); return nil })
-	runOne("7", func(context.Context) error { printFigure7(*seed); return nil })
-	runOne("9", func(context.Context) error { printFigure9(*seed, *topologies); return nil })
-	runOne("10", func(ctx context.Context) error {
-		return printScenario(ctx, "Figure 10 (1x1)", channel.Scenario1x1, *seed, *topologies, 0, *skipPlus)
-	})
-	runOne("11", func(ctx context.Context) error {
-		return printScenario(ctx, "Figure 11 (4x2)", channel.Scenario4x2, *seed, *topologies, 0, *skipPlus)
-	})
-	runOne("12", func(ctx context.Context) error {
-		return printScenario(ctx, "Figure 12 (4x2, interference −10 dB)", channel.Scenario4x2, *seed, *topologies, -10, *skipPlus)
-	})
-	runOne("13", func(ctx context.Context) error {
-		return printScenario(ctx, "Figure 13 (3x2)", channel.Scenario3x2, *seed, *topologies, 0, *skipPlus)
-	})
-	runOne("14", func(ctx context.Context) error { return printFigure14(ctx, *seed, *topologies) })
-	runOne("headlines", func(ctx context.Context) error { return printHeadlines(ctx, *seed, *topologies) })
-	runOne("accuracy", func(ctx context.Context) error { return printAccuracy(ctx, *seed, *topologies) })
-	runOne("backlog", func(context.Context) error { return printBacklog(*seed) })
-	runOne("loss", func(ctx context.Context) error { return printLossSweep(ctx, *seed, *topologies, *lossRate, *burst) })
-	runOne("mobility", func(ctx context.Context) error { return printMobility(ctx, *seed, *topologies, mob) })
 	if !matched {
 		logger.Error("unknown figure", "fig", *fig)
-		fmt.Fprintln(os.Stderr, "valid figures: 2,3,4,7,9,10,11,12,13,14,table1,headlines,accuracy,backlog,loss,mobility,all")
+		fmt.Fprintln(os.Stderr, "valid figures: "+figureNames())
 		return 2
 	}
 	if failed {
 		return 1
 	}
+	if o.report != nil {
+		if err := o.report.write(o.out); err != nil {
+			logger.Error("report failed", "err", err)
+			return 1
+		}
+	}
 	return 0
 }
 
-// csvDir, when non-empty, receives CSV exports of every figure printed.
-var csvDir string
-
-// maxParallel bounds scenario-harness workers (0 = GOMAXPROCS). Worker
-// count never changes results — evaluation streams are stateless per
-// topology — only wall time.
-var maxParallel int
-
-func maybeExport(err error) {
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "csv export: %v\n", err)
-	}
+// figure is one entry of the figure table: its -fig name, the banner
+// printed above its output, and the function that reproduces it.
+type figure struct {
+	name, title string
+	run         func(context.Context, *opts) error
 }
 
-func title(name string) string {
-	switch name {
-	case "table1":
-		return "Table 1: MAC overhead"
-	case "headlines":
-		return "Headline claims (§1)"
-	case "accuracy":
-		return "Strategy prediction accuracy (§3.3)"
-	case "backlog":
-		return "Backlog drain (§3.5)"
-	case "loss":
-		return "Throughput vs control-frame loss"
-	case "mobility":
-		return "Realized aggregate throughput vs client speed"
-	default:
-		return "Figure " + name
-	}
+// figures drives -fig: the help text, the "valid figures" error, the
+// banners, and the -fig all order.
+var figures = []figure{
+	{"2", "Figure 2", printFigure2},
+	{"3", "Figure 3", printFigure3},
+	{"4", "Figure 4", printFigure4},
+	{"table1", "Table 1: MAC overhead", printTable1},
+	{"7", "Figure 7", printFigure7},
+	{"9", "Figure 9", printFigure9},
+	{"10", "Figure 10", scenarioFigure(10, "Figure 10 (1x1)", channel.Scenario1x1, 0)},
+	{"11", "Figure 11", scenarioFigure(11, "Figure 11 (4x2)", channel.Scenario4x2, 0)},
+	{"12", "Figure 12", scenarioFigure(12, "Figure 12 (4x2, interference −10 dB)", channel.Scenario4x2, -10)},
+	{"13", "Figure 13", scenarioFigure(13, "Figure 13 (3x2)", channel.Scenario3x2, 0)},
+	{"14", "Figure 14", printFigure14},
+	{"headlines", "Headline claims (§1)", printHeadlines},
+	{"accuracy", "Strategy prediction accuracy (§3.3)", printAccuracy},
+	{"backlog", "Backlog drain (§3.5)", printBacklog},
+	{"loss", "Throughput vs control-frame loss", printLossSweep},
+	{"mobility", "Realized aggregate throughput vs client speed", printMobility},
+	{"its", "ITS control frames: wire sizes and CSI compression", printITS},
+	{"dcf", "DCF fairness with a COPA pair (§3.1)", printDCF},
+	{"cluster", "Cluster fairness under the full ITS protocol (§3.1)", printCluster},
 }
 
-func printFigure2(seed int64) {
-	f := testbed.RunFigure2(seed)
-	if csvDir != "" {
-		maybeExport(f.ExportCSV(csvDir))
+// figureNames lists the valid -fig values, comma-separated.
+func figureNames() string {
+	names := make([]string, 0, len(figures)+1)
+	for _, f := range figures {
+		names = append(names, f.name)
 	}
+	return strings.Join(append(names, "all"), ",")
+}
+
+// opts carries the flags the figures read, and the -out sinks.
+type opts struct {
+	seed        int64
+	topologies  int
+	loss, burst float64
+	mob         *cliflags.MobilityFlags
+	skipPlus    bool
+	// workers bounds scenario-harness parallelism (0 = GOMAXPROCS). It
+	// never changes results, only wall time.
+	workers int
+	// out, when non-empty, receives a CSV per printed figure and
+	// report.html; report is nil without it.
+	out    string
+	report *report
+}
+
+// export runs a figure's CSV writer against -out, if set.
+func (o *opts) export(write func(dir string) error) error {
+	if o.out == "" {
+		return nil
+	}
+	return write(o.out)
+}
+
+func printFigure2(_ context.Context, o *opts) error {
+	f := testbed.RunFigure2(o.seed)
+	o.report.figure2(f)
 	fmt.Println("subcarrier  ant1(dBm)  ant2(dBm)")
 	for k := range f.PowerDBm[0] {
 		fmt.Printf("%10d  %9.1f  %9.1f\n", k, f.PowerDBm[0][k], f.PowerDBm[1][k])
 	}
+	return o.export(f.ExportCSV)
 }
 
-func printFigure3(seed int64, topologies int) {
-	f := testbed.RunFigure3(seed, topologies)
-	if csvDir != "" {
-		maybeExport(f.ExportCSV(csvDir))
-	}
+func printFigure3(_ context.Context, o *opts) error {
+	f := testbed.RunFigure3(o.seed, o.topologies)
+	o.report.figure3(f)
 	fmt.Printf("INR reduction : %+6.1f dB (σ %.1f)   [paper: ≈−27 dB]\n", f.INRReductionMeanDB, f.INRReductionStdDB)
 	fmt.Printf("SNR reduction : %+6.1f dB (σ %.1f)   [paper: ≈−8 dB]\n", f.SNRReductionMeanDB, f.SNRReductionStdDB)
 	fmt.Printf("SINR increase : %+6.1f dB (σ %.1f)   [paper: ≈+18 dB]\n", f.SINRIncreaseMeanDB, f.SINRIncreaseStdDB)
+	return o.export(f.ExportCSV)
 }
 
-func printFigure4(seed int64) {
-	f := testbed.RunFigure4(seed)
-	if csvDir != "" {
-		maybeExport(f.ExportCSV(csvDir))
-	}
+func printFigure4(_ context.Context, o *opts) error {
+	f := testbed.RunFigure4(o.seed)
+	o.report.figure4(f)
 	fmt.Println("subcarrier  SNR-BF  SNR-Null  SINR-Null  (dB)")
 	for k := range f.SNRBFDB {
 		fmt.Printf("%10d  %6.1f  %8.1f  %9.1f\n", k, f.SNRBFDB[k], f.SNRNullDB[k], f.SINRNullDB[k])
 	}
+	return o.export(f.ExportCSV)
 }
 
-func printTable1() {
+func printTable1(_ context.Context, o *opts) error {
 	rows := testbed.Table1()
-	if csvDir != "" {
-		maybeExport(testbed.ExportTable1CSV(csvDir))
-	}
+	o.report.table1(rows)
 	fmt.Println("coherence   COPA-Conc  COPA-Seq  CSMA-CTS  CSMA-RTS/CTS   (% of TXOP)")
 	for _, r := range rows {
 		fmt.Printf("%9s   %8.1f%%  %7.1f%%  %7.1f%%  %11.1f%%\n",
 			r.Coherence, r.COPAConc*100, r.COPASeq*100, r.CSMACTS*100, r.CSMARTS*100)
 	}
 	fmt.Println("paper @4ms: 9.3 / 7.7 / 2.7 / 3.7 · @30ms: 5.1 / 3.5 · @1000ms: 4.5 / 2.8")
+	return o.export(testbed.ExportTable1CSV)
 }
 
-func printFigure7(seed int64) {
-	f := testbed.RunFigure7(seed)
-	if csvDir != "" && len(f.BERCOPA) > 0 {
-		maybeExport(f.ExportCSV(csvDir))
-	}
+func printFigure7(_ context.Context, o *opts) error {
+	f := testbed.RunFigure7(o.seed)
+	o.report.figure7(f)
 	if len(f.BERCOPA) == 0 {
 		fmt.Println("(nulling infeasible on this draw; try another seed)")
-		return
+		return nil
 	}
 	fmt.Printf("COPA: %s → %.1f Mb/s   NoPA: %s → %.1f Mb/s\n", f.COPAMCS, f.COPAMbps, f.NoPAMCS, f.NoPAMbps)
 	fmt.Println("subcarrier  BER-COPA     BER-NoPA     dropped")
@@ -269,57 +279,57 @@ func printFigure7(seed int64) {
 		}
 		fmt.Printf("%10d  %11.3e  %11.3e  %s\n", k, f.BERCOPA[k], f.BERNoPA[k], mark)
 	}
+	return o.export(f.ExportCSV)
 }
 
-func printFigure9(seed int64, topologies int) {
-	f := testbed.RunFigure9(seed, topologies)
-	if csvDir != "" {
-		maybeExport(f.ExportCSV(csvDir))
-	}
+func printFigure9(_ context.Context, o *opts) error {
+	f := testbed.RunFigure9(o.seed, o.topologies)
+	o.report.figure9(f)
 	fmt.Println("signal(dBm)  interference(dBm)")
 	for i := range f.SignalDBm {
 		fmt.Printf("%11.1f  %17.1f\n", f.SignalDBm[i], f.InterferenceDBm[i])
 	}
+	return o.export(f.ExportCSV)
 }
 
-func printScenario(ctx context.Context, name string, sc channel.Scenario, seed int64, topologies int, deltaDB float64, skipPlus bool) error {
-	cfg := testbed.DefaultConfig(seed)
-	cfg.Topologies = topologies
-	cfg.InterferenceDeltaDB = deltaDB
-	cfg.SkipCOPAPlus = skipPlus
-	cfg.MaxParallel = maxParallel
-	res, err := testbed.RunScenario(ctx, sc, cfg)
-	if err != nil {
-		return err
-	}
-	if csvDir != "" {
+// scenarioFigure reproduces one of Figs. 10–13: the per-scheme
+// throughput summary of one antenna scenario.
+func scenarioFigure(fig int, name string, sc channel.Scenario, deltaDB float64) func(context.Context, *opts) error {
+	return func(ctx context.Context, o *opts) error {
+		cfg := testbed.DefaultConfig(o.seed)
+		cfg.Topologies = o.topologies
+		cfg.InterferenceDeltaDB = deltaDB
+		cfg.SkipCOPAPlus = o.skipPlus
+		cfg.MaxParallel = o.workers
+		res, err := testbed.RunScenario(ctx, sc, cfg)
+		if err != nil {
+			return err
+		}
+		o.report.scenario(fig, res)
+		fmt.Printf("%s — mean aggregate throughput over %d topologies\n", name, o.topologies)
+		for _, scheme := range testbed.AllSchemes {
+			vals, ok := res.PerTopology[scheme]
+			if !ok {
+				continue
+			}
+			fmt.Printf("  %-10s  mean %6.1f Mb/s   p10 %6.1f   median %6.1f   p90 %6.1f\n",
+				scheme, testbed.Mean(vals)/1e6, testbed.Percentile(vals, 10)/1e6,
+				testbed.Median(vals)/1e6, testbed.Percentile(vals, 90)/1e6)
+		}
 		slug := fmt.Sprintf("fig_%s_%+.0fdB.csv", sc.Name, deltaDB)
 		if deltaDB == 0 {
 			slug = fmt.Sprintf("fig_%s.csv", sc.Name)
 		}
-		maybeExport(res.ExportCSV(csvDir, slug))
+		return o.export(func(dir string) error { return res.ExportCSV(dir, slug) })
 	}
-	fmt.Printf("%s — mean aggregate throughput over %d topologies\n", name, topologies)
-	for _, scheme := range testbed.AllSchemes {
-		vals, ok := res.PerTopology[scheme]
-		if !ok {
-			continue
-		}
-		fmt.Printf("  %-10s  mean %6.1f Mb/s   p10 %6.1f   median %6.1f   p90 %6.1f\n",
-			scheme, testbed.Mean(vals)/1e6, testbed.Percentile(vals, 10)/1e6,
-			testbed.Median(vals)/1e6, testbed.Percentile(vals, 90)/1e6)
-	}
-	return nil
 }
 
-func printFigure14(ctx context.Context, seed int64, topologies int) error {
-	f, err := testbed.RunFigure14(ctx, seed, topologies)
+func printFigure14(ctx context.Context, o *opts) error {
+	f, err := testbed.RunFigure14(ctx, o.seed, o.topologies)
 	if err != nil {
 		return err
 	}
-	if csvDir != "" {
-		maybeExport(f.ExportCSV(csvDir))
-	}
+	o.report.figure14(f)
 	fmt.Printf("%-22s", "scheme \\ scenario")
 	for _, sc := range []string{"1x1", "4x2", "3x2"} {
 		fmt.Printf("  %6s", sc)
@@ -332,11 +342,11 @@ func printFigure14(ctx context.Context, seed int64, topologies int) error {
 		}
 		fmt.Println()
 	}
-	return nil
+	return o.export(f.ExportCSV)
 }
 
-func printAccuracy(ctx context.Context, seed int64, topologies int) error {
-	acc, err := testbed.RunPredictionAccuracy(ctx, seed, topologies)
+func printAccuracy(ctx context.Context, o *opts) error {
+	acc, err := testbed.RunPredictionAccuracy(ctx, o.seed, o.topologies)
 	if err != nil {
 		return err
 	}
@@ -351,38 +361,35 @@ func printAccuracy(ctx context.Context, seed int64, topologies int) error {
 	return nil
 }
 
-func printBacklog(seed int64) error {
+func printBacklog(_ context.Context, o *opts) error {
+	loads := []float64{20e6, 40e6, 55e6, 70e6}
+	var worst [3][]float64 // per load, for CSMA, COPA and COPA fair
+	for _, l := range loads {
+		cmp, err := testbed.RunBacklogComparison(o.seed, l, 2500)
+		if err != nil {
+			return err
+		}
+		for i, d := range [3][2]float64{cmp.CSMADelaySec, cmp.COPADelaySec, cmp.COPAFairDelaySec} {
+			w := d[0]
+			if d[1] > w {
+				w = d[1]
+			}
+			worst[i] = append(worst[i], w)
+		}
+	}
 	fmt.Println("worst-client mean frame delay (ms) vs per-client offered load:")
 	fmt.Printf("  %-10s", "scheme")
-	loads := []float64{20e6, 40e6, 55e6, 70e6}
 	for _, l := range loads {
 		fmt.Printf("  %5.0fM", l/1e6)
 	}
 	fmt.Println()
-	rows := []struct {
-		name string
-		get  func(testbed.BacklogComparison) [2]float64
-	}{
-		{"CSMA", func(c testbed.BacklogComparison) [2]float64 { return c.CSMADelaySec }},
-		{"COPA", func(c testbed.BacklogComparison) [2]float64 { return c.COPADelaySec }},
-		{"COPA fair", func(c testbed.BacklogComparison) [2]float64 { return c.COPAFairDelaySec }},
-	}
-	for _, r := range rows {
-		fmt.Printf("  %-10s", r.name)
-		for _, l := range loads {
-			cmp, err := testbed.RunBacklogComparison(seed, l, 2500)
-			if err != nil {
-				return err
-			}
-			d := r.get(cmp)
-			worst := d[0]
-			if d[1] > worst {
-				worst = d[1]
-			}
-			if worst > 1e6 {
+	for i, name := range []string{"CSMA", "COPA", "COPA fair"} {
+		fmt.Printf("  %-10s", name)
+		for _, w := range worst[i] {
+			if w > 1e6 {
 				fmt.Printf("  %6s", "inf")
 			} else {
-				fmt.Printf("  %6.1f", worst*1e3)
+				fmt.Printf("  %6.1f", w*1e3)
 			}
 		}
 		fmt.Println()
@@ -390,27 +397,24 @@ func printBacklog(seed int64) error {
 	return nil
 }
 
-func printLossSweep(ctx context.Context, seed int64, topologies int, loss, burst float64) error {
-	cfg := testbed.DefaultLossSweepConfig(seed)
+func printLossSweep(ctx context.Context, o *opts) error {
+	cfg := testbed.DefaultLossSweepConfig(o.seed)
 	// The sweep is exchange-by-exchange (not batch-evaluated), so cap the
 	// population to keep -fig all fast.
-	if topologies < cfg.Topologies {
-		cfg.Topologies = topologies
+	if o.topologies < cfg.Topologies {
+		cfg.Topologies = o.topologies
 	}
-	cfg.MeanBurst = burst
-	if loss > 0 {
-		cfg.LossRates = []float64{loss}
+	cfg.MeanBurst = o.burst
+	if o.loss > 0 {
+		cfg.LossRates = []float64{o.loss}
 	}
 	sweep, err := testbed.RunLossSweep(ctx, channel.Scenario4x2, cfg)
 	if err != nil {
 		return err
 	}
-	if csvDir != "" {
-		maybeExport(sweep.ExportCSV(csvDir))
-	}
 	kind := "i.i.d."
-	if burst > 1 {
-		kind = fmt.Sprintf("Gilbert–Elliott, mean burst %.1f", burst)
+	if o.burst > 1 {
+		kind = fmt.Sprintf("Gilbert–Elliott, mean burst %.1f", o.burst)
 	}
 	fmt.Printf("4x2, %d topologies, %s loss — realized aggregate vs ITS frame loss\n", cfg.Topologies, kind)
 	fmt.Printf("CSMA baseline: %.1f Mb/s\n", sweep.MeanCSMABps()/1e6)
@@ -419,14 +423,14 @@ func printLossSweep(ctx context.Context, seed int64, topologies int, loss, burst
 		fmt.Printf("  %3.0f%%  %7.1f Mb/s  %7.1f%%  %12.2f  %10.0f\n",
 			p.Loss*100, p.AggregateBps/1e6, p.FallbackRate*100, p.RetriesPerExchange, p.ControlBytesPerExchange)
 	}
-	return nil
+	return o.export(sweep.ExportCSV)
 }
 
-func printHeadlines(ctx context.Context, seed int64, topologies int) error {
-	cfg := testbed.DefaultConfig(seed)
-	cfg.Topologies = topologies
+func printHeadlines(ctx context.Context, o *opts) error {
+	cfg := testbed.DefaultConfig(o.seed)
+	cfg.Topologies = o.topologies
 	cfg.SkipCOPAPlus = true
-	cfg.MaxParallel = maxParallel
+	cfg.MaxParallel = o.workers
 	res, err := testbed.RunScenario(ctx, channel.Scenario4x2, cfg)
 	if err != nil {
 		return err
@@ -441,36 +445,33 @@ func printHeadlines(ctx context.Context, seed int64, topologies int) error {
 	return nil
 }
 
-func printMobility(ctx context.Context, seed int64, topologies int, mob *cliflags.MobilityFlags) error {
-	if err := mob.Validate(); err != nil {
+func printMobility(ctx context.Context, o *opts) error {
+	if err := o.mob.Validate(); err != nil {
 		return err
 	}
-	cfg := testbed.DefaultMobilityConfig(seed)
+	cfg := testbed.DefaultMobilityConfig(o.seed)
 	// The sweep runs a full controller per cell; cap the population to
 	// keep -fig all fast.
-	if topologies < cfg.Topologies {
-		cfg.Topologies = topologies
+	if o.topologies < cfg.Topologies {
+		cfg.Topologies = o.topologies
 	}
-	cfg.SpeedsMps = mob.Speeds(testbed.DefaultSpeeds())
-	cfg.ThresholdsDB = []float64{mob.ThresholdDB}
-	cfg.Duration = mob.Duration
-	cfg.Step = mob.Step
-	cfg.ReassocPerSec = mob.ReassocPerSec
-	cfg.ChurnPerSec = mob.ChurnPerSec
+	cfg.SpeedsMps = o.mob.Speeds(testbed.DefaultSpeeds())
+	cfg.ThresholdsDB = []float64{o.mob.ThresholdDB}
+	cfg.Duration = o.mob.Duration
+	cfg.Step = o.mob.Step
+	cfg.ReassocPerSec = o.mob.ReassocPerSec
+	cfg.ChurnPerSec = o.mob.ChurnPerSec
 	sweep, err := testbed.RunMobilitySweep(ctx, channel.Scenario4x2, cfg)
 	if err != nil {
 		return err
 	}
-	if csvDir != "" {
-		maybeExport(sweep.ExportCSV(csvDir))
-	}
 	fmt.Printf("4x2, %d topologies, %v per cell — realized aggregate vs client speed (threshold %.1f dB)\n",
-		cfg.Topologies, cfg.Duration, mob.ThresholdDB)
+		cfg.Topologies, cfg.Duration, o.mob.ThresholdDB)
 	fmt.Println("  speed     aggregate   renegs/s  incr/s  revoked/s  delta-share")
 	for _, p := range sweep.Points {
 		fmt.Printf("  %5.1f m/s %7.1f Mb/s  %7.2f  %6.2f  %9.2f  %10.1f%%\n",
 			p.SpeedMps, p.AggregateBps/1e6, p.RenegsPerSec, p.IncrementalPerSec,
 			p.CertRevocationsPerSec, p.DeltaByteShare*100)
 	}
-	return nil
+	return o.export(sweep.ExportCSV)
 }

@@ -85,8 +85,78 @@ func TestRunExitCodes(t *testing.T) {
 	if code := run([]string{"-fig", "table1", "-out", t.TempDir()}); code != 0 {
 		t.Fatalf("run with -out = %d, want 0", code)
 	}
-	// An unwritable CSV directory must not crash; export errors are logged.
-	csvDir = ""
+	// An unwritable -out directory (here, a path below a regular file)
+	// must fail the run, for the CSVs and for report.html alike.
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, fig := range []string{"table1", "its"} {
+		if code := run([]string{"-fig", fig, "-out", filepath.Join(file, "out")}); code != 1 {
+			t.Errorf("run(-fig %s) into an unwritable -out = %d, want 1", fig, code)
+		}
+	}
+}
+
+// runStdout runs the CLI and returns its exit code and stdout.
+func runStdout(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stdout
+	os.Stdout = f
+	code := run(args)
+	os.Stdout = saved
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, string(out)
+}
+
+// TestProtocolFigures runs the ITS frame dump and the two MAC fairness
+// simulations: each exits 0 and prints the same bytes on a second run.
+func TestProtocolFigures(t *testing.T) {
+	for _, fig := range []string{"its", "dcf", "cluster"} {
+		code, first := runStdout(t, "-fig", fig)
+		if code != 0 {
+			t.Fatalf("run(-fig %s) = %d, want 0", fig, code)
+		}
+		if _, second := runStdout(t, "-fig", fig); second != first {
+			t.Errorf("-fig %s output differs between runs:\n%s\n---\n%s", fig, first, second)
+		}
+		if fig == "its" {
+			if n := strings.Count(first, "round-trip: all three frames decode cleanly"); n != 3 {
+				t.Errorf("-fig its printed the round-trip self-check %d times, want once per scenario (3):\n%s", n, first)
+			}
+		}
+	}
+}
+
+// TestReportDeterministic checks that -out writes report.html from the
+// figures just printed, byte-identical across runs.
+func TestReportDeterministic(t *testing.T) {
+	var reports [2][]byte
+	for i := range reports {
+		dir := t.TempDir()
+		if code, _ := runStdout(t, "-fig", "table1", "-out", dir); code != 0 {
+			t.Fatalf("run(-fig table1 -out) = %d, want 0", code)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, "report.html"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(data), "<h2>Table 1 — MAC overhead</h2><table>") {
+			t.Fatalf("report.html has no Table 1 section:\n%s", data)
+		}
+		reports[i] = data
+	}
+	if string(reports[0]) != string(reports[1]) {
+		t.Error("report.html differs between two identical runs")
+	}
 }
 
 // TestTraceOutFigureSpan checks that -trace-out records one cli.sim

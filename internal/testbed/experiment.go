@@ -36,6 +36,19 @@ const (
 // AllSchemes lists scheme names in the paper's presentation order.
 var AllSchemes = campaign.AllSchemes
 
+// PaperMeansMbps is the paper's mean aggregate throughput per scheme, in
+// Mb/s, for each of Figs. 10–13, keyed by figure number.
+var PaperMeansMbps = map[int]map[string]float64{
+	10: {SchemeCSMA: 47.7, SchemeCOPASeq: 51.6,
+		SchemeCOPAFair: 53.3, SchemeCOPA: 54.7, SchemeCOPAPF: 53.7, SchemeCOPAP: 55.0},
+	11: {SchemeCSMA: 110.1, SchemeCOPASeq: 110.4, SchemeNull: 83.1,
+		SchemeCOPAFair: 123.9, SchemeCOPA: 128.1, SchemeCOPAPF: 132.0, SchemeCOPAP: 136.2},
+	12: {SchemeCSMA: 110.1, SchemeCOPASeq: 110.4, SchemeNull: 131.7,
+		SchemeCOPAFair: 175.8, SchemeCOPA: 178.8, SchemeCOPAPF: 184.4, SchemeCOPAP: 185.9},
+	13: {SchemeCSMA: 104.1, SchemeCOPASeq: 108.9, SchemeNull: 87.4,
+		SchemeCOPAFair: 117.8, SchemeCOPA: 121.6, SchemeCOPAPF: 122.9, SchemeCOPAP: 126.4},
+}
+
 // ScenarioResult holds per-topology aggregate throughputs for every
 // scheme in one antenna scenario — the data behind one of Figs. 10–13.
 type ScenarioResult struct {

@@ -1,7 +1,7 @@
 // Package viz renders the evaluation's figures as standalone SVG charts
 // using only the standard library: line and step-CDF series, scatter
 // plots, axes with human-friendly tick values, and legends. It exists so
-// `copareport` can produce a self-contained HTML report of every paper
+// `copasim -out` can write a self-contained HTML report of every paper
 // figure without external plotting dependencies.
 package viz
 
@@ -28,8 +28,6 @@ type Chart struct {
 	Title  string
 	XLabel string
 	YLabel string
-	// W, H are the overall SVG dimensions (defaults 640×400).
-	W, H int
 	// LogY plots the Y axis in log10 (all Y values must be positive).
 	LogY   bool
 	Series []Series
@@ -37,11 +35,13 @@ type Chart struct {
 
 var palette = []string{"#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf"}
 
+// Every chart is a 640×400 SVG.
 const (
-	marginLeft   = 64
-	marginRight  = 16
-	marginTop    = 36
-	marginBottom = 48
+	width, height = 640, 400
+	marginLeft    = 64
+	marginRight   = 16
+	marginTop     = 36
+	marginBottom  = 48
 )
 
 // niceTicks returns ~n human-friendly tick values covering [lo, hi].
@@ -105,15 +105,8 @@ func (c *Chart) dataRange(yAxis bool) (float64, float64) {
 
 // SVG renders the chart.
 func (c *Chart) SVG() string {
-	w, h := c.W, c.H
-	if w <= 0 {
-		w = 640
-	}
-	if h <= 0 {
-		h = 400
-	}
-	plotW := float64(w - marginLeft - marginRight)
-	plotH := float64(h - marginTop - marginBottom)
+	plotW := float64(width - marginLeft - marginRight)
+	plotH := float64(height - marginTop - marginBottom)
 
 	xlo, xhi := c.dataRange(false)
 	ylo, yhi := c.dataRange(true)
@@ -130,8 +123,8 @@ func (c *Chart) SVG() string {
 	}
 
 	var b strings.Builder
-	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" font-family="sans-serif" font-size="11">`, w, h)
-	fmt.Fprintf(&b, `<rect width="%d" height="%d" fill="white"/>`, w, h)
+	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" font-family="sans-serif" font-size="11">`, width, height)
+	fmt.Fprintf(&b, `<rect width="%d" height="%d" fill="white"/>`, width, height)
 	fmt.Fprintf(&b, `<text x="%d" y="18" font-size="14" font-weight="bold">%s</text>`, marginLeft, esc(c.Title))
 
 	// Axes.
@@ -155,7 +148,7 @@ func (c *Chart) SVG() string {
 		fmt.Fprintf(&b, `<text x="%d" y="%g" text-anchor="end">%s</text>`, marginLeft-6, y+4, fmtTick(label))
 	}
 	fmt.Fprintf(&b, `<text x="%g" y="%d" text-anchor="middle">%s</text>`,
-		marginLeft+plotW/2, h-10, esc(c.XLabel))
+		marginLeft+plotW/2, height-10, esc(c.XLabel))
 	fmt.Fprintf(&b, `<text x="14" y="%g" text-anchor="middle" transform="rotate(-90 14 %g)">%s</text>`,
 		marginTop+plotH/2, marginTop+plotH/2, esc(c.YLabel))
 
