@@ -6,7 +6,7 @@ GO ?= go
 FUZZTIME ?= 30s
 # Canonical perf-gate subset and sampling (see cmd/copabench). Fixed -Nx
 # benchtime keeps allocs/op deterministic run to run.
-BENCH_PATTERN ?= EquiSNR|EvaluateAll|MercuryBest4x2|EigHermitianBatch|Figure9|ServeAllocate|CampaignUnit|SpanOverhead|OpenMetricsExposition|FleetMergeShard|DriftStep|IncrementalRealloc|ColdRealloc|RouterCachedHit|WireBinaryRoundTrip
+BENCH_PATTERN ?= EquiSNR|EvaluateAll|MercuryBest4x2|EigHermitianBatch|Figure9|ServeAllocate|CampaignUnit|SpanOverhead|OpenMetricsExposition|DriftStep|IncrementalRealloc|ColdRealloc|RouterCachedHit|WireBinaryRoundTrip
 BENCH_COUNT ?= 3
 BENCH_TIME ?= 5x
 
@@ -16,7 +16,7 @@ TOOLS_BIN := $(CURDIR)/.tools/bin
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race bench-test vet staticcheck govulncheck check kernel-equiv bench bench-obs bench-json bench-check bench-baseline fuzz serve loadtest campaign campaign-smoke fleet-smoke drift-smoke router-smoke clean
+.PHONY: all build test race bench-test vet staticcheck govulncheck check kernel-equiv bench bench-obs bench-json bench-check bench-baseline fuzz serve loadtest campaign campaign-smoke drift-smoke router-smoke clean
 
 all: build test
 
@@ -114,8 +114,9 @@ drift-smoke:
 	$(GO) test -race -run 'TestIncrementalReallocSpeedup' -v .
 	$(GO) run ./cmd/copacampaign -mobility -topologies 2 -duration 60ms -drift-thresholds 1 -q
 
-# fuzz campaigns the wire-format parsers (go test accepts one -fuzz
-# target per invocation, hence the sequence). FUZZTIME=2m make fuzz for
+# fuzz campaigns the wire-format parsers and the campaign checkpoint
+# reader (go test accepts one -fuzz target per invocation, hence the
+# sequence). FUZZTIME=2m make fuzz for
 # a longer run.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzITSInitParse$$' -fuzztime $(FUZZTIME) ./internal/mac
@@ -123,6 +124,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzITSAckParse$$' -fuzztime $(FUZZTIME) ./internal/mac
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMatrices$$' -fuzztime $(FUZZTIME) ./internal/csi
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDelta$$' -fuzztime $(FUZZTIME) ./internal/csi
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadJournal$$' -fuzztime $(FUZZTIME) ./internal/campaign
 
 # serve runs the allocation daemon on its default port with debug
 # endpoints enabled; override SERVE_FLAGS for a different shape.
@@ -149,14 +151,6 @@ campaign:
 # resume golden tests and the CLI end-to-end suite, under -race.
 campaign-smoke:
 	$(GO) test -race -run 'TestRun|TestCampaign' ./internal/campaign ./cmd/copacampaign ./internal/testbed
-
-# fleet-smoke is the CI distribution gate: the byte-identity goldens
-# (N workers, worker killed mid-lease, coordinator kill/resume, lossy
-# transport) under -race, then a scripted two-process coordinator/worker
-# run cmp'd against a single-process run of the same spec.
-fleet-smoke:
-	$(GO) test -race -run 'TestFleet|TestRunFleet' ./internal/fleet ./cmd/copacampaign
-	./scripts/fleet_smoke.sh
 
 # router-smoke is the CI front-tier gate (DESIGN §15): the router's
 # byte-identity, failover, hedging, priority-shedding and churn suites

@@ -13,13 +13,6 @@
 //	copacampaign -topologies 100000 -checkpoint sweep.jsonl -resume -out sweep.json
 //	copacampaign -topologies 30 -shards 8        # prints the Figs. 10–13 summary
 //
-// A campaign can also be distributed: -serve-coordinator leases the
-// same work units to fleet workers over HTTP (joined with -join) and
-// merges their results into output byte-identical to a local run:
-//
-//	copacampaign -topologies 100000 -serve-coordinator :9400 -out sweep.json
-//	copacampaign -join http://host:9400        # on each worker machine
-//
 // Operational flags mirror copasim: -v debug logging, -debug-addr
 // expvar/pprof.
 package main
@@ -60,7 +53,6 @@ func run(args []string, stdout *os.File) int {
 	csvDir := fs.String("csv", "", "directory to write summary/CDF CSVs into")
 	quiet := fs.Bool("q", false, "suppress the progress line and summary table")
 	progressEvery := fs.Duration("progress-every", 10*time.Second, "interval between progress log lines with units/s and ETA (0 disables)")
-	ff := cliflags.Fleet(fs)
 	dbg := cliflags.Debug(fs)
 	_ = fs.Parse(args)
 
@@ -73,11 +65,11 @@ func run(args []string, stdout *os.File) int {
 	defer stopDebug()
 
 	// -mobility is a self-contained local sweep: each cell is one drift
-	// controller run, so the checkpoint/fleet machinery has nothing to
-	// shard and is rejected rather than silently ignored.
+	// controller run, so the checkpoint machinery has nothing to shard
+	// and is rejected rather than silently ignored.
 	if *mobility {
-		if ff.Join != "" || ff.Coordinator != "" || cf.Checkpoint != "" || cf.Resume {
-			fmt.Fprintln(os.Stderr, "copacampaign: -mobility runs locally; it cannot combine with -join, -serve-coordinator, -checkpoint, or -resume")
+		if cf.Checkpoint != "" || cf.Resume {
+			fmt.Fprintln(os.Stderr, "copacampaign: -mobility runs locally; it cannot combine with -checkpoint or -resume")
 			return 2
 		}
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -85,31 +77,7 @@ func run(args []string, stdout *os.File) int {
 		return runMobility(ctx, stdout, *scenario, *seed, *topologies, mob, *driftThresholds, *csvDir, *quiet)
 	}
 
-	if err := ff.Validate(cf); err != nil {
-		fmt.Fprintf(os.Stderr, "copacampaign: %v\n", err)
-		return 2
-	}
-
-	// Worker mode needs no spec: the coordinator's wins (and the worker
-	// refuses a fingerprint mismatch), so local spec flags are ignored.
-	if ff.Join != "" {
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		if err := runFleetWorker(ctx, cf, ff); err != nil {
-			logger.Error("fleet worker failed", "err", err)
-			return 1
-		}
-		return 0
-	}
-
-	// -workers 0 under -serve-coordinator is a pure coordinator (all
-	// evaluation remote); everywhere else at least one evaluator is
-	// required, which Validate enforces.
-	vcf := *cf
-	if ff.Coordinator != "" && vcf.Workers == 0 {
-		vcf.Workers = 1
-	}
-	if err := vcf.Validate(*topologies); err != nil {
+	if err := cf.Validate(*topologies); err != nil {
 		fmt.Fprintf(os.Stderr, "copacampaign: %v\n", err)
 		return 2
 	}
@@ -149,32 +117,23 @@ func run(args []string, stdout *os.File) int {
 	// checkpoint spans all stitch under this (subject to -trace-sample).
 	ctx, rootSpan := obs.StartSpan(ctx, "cli.campaign")
 
-	var res *campaign.Result
-	if ff.Coordinator != "" {
-		pe := *progressEvery
-		if *quiet {
-			pe = 0
-		}
-		res, err = runFleetCoordinator(ctx, spec, cf, ff, pe, *quiet)
+	opt := campaign.Options{
+		Workers:       cf.Workers,
+		Checkpoint:    cf.Checkpoint,
+		Resume:        cf.Resume,
+		ProgressEvery: *progressEvery,
+	}
+	if *quiet {
+		opt.ProgressEvery = 0
 	} else {
-		opt := campaign.Options{
-			Workers:       cf.Workers,
-			Checkpoint:    cf.Checkpoint,
-			Resume:        cf.Resume,
-			ProgressEvery: *progressEvery,
-		}
-		if *quiet {
-			opt.ProgressEvery = 0
-		} else {
-			opt.OnProgress = func(done, total int) {
-				fmt.Fprintf(os.Stderr, "\rcampaign: %d/%d units", done, total)
-				if done == total {
-					fmt.Fprintln(os.Stderr)
-				}
+		opt.OnProgress = func(done, total int) {
+			fmt.Fprintf(os.Stderr, "\rcampaign: %d/%d units", done, total)
+			if done == total {
+				fmt.Fprintln(os.Stderr)
 			}
 		}
-		res, err = campaign.Run(ctx, spec, opt)
 	}
+	res, err := campaign.Run(ctx, spec, opt)
 	rootSpan.EndErr(err)
 	if err != nil {
 		if !*quiet {

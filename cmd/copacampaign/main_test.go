@@ -92,6 +92,8 @@ func TestRunFlagValidation(t *testing.T) {
 		campaignArgs("-shards", "9"), // > topologies
 		campaignArgs("-resume"),      // without -checkpoint
 		campaignArgs("-profiles", "nonsense"),
+		{"-mobility", "-checkpoint", "c.jsonl", "-q"}, // -mobility has no units to journal
+		{"-mobility", "-resume", "-q"},
 	}
 	for _, args := range cases {
 		if code := run(args, os.Stdout); code != 2 {

@@ -15,8 +15,7 @@ import (
 // runMobility is the -mobility mode: a speed × re-negotiation-rate
 // sweep of the drift controller (internal/drift) instead of a scheme
 // campaign. Each cell is a full controller run, cheap enough that the
-// mode bypasses the checkpoint/fleet engine entirely and always runs
-// locally.
+// mode bypasses the checkpoint engine entirely.
 func runMobility(ctx context.Context, stdout *os.File, sc channel.Scenario,
 	seed int64, topologies int, mob *cliflags.MobilityFlags,
 	thresholds, csvDir string, quiet bool) int {

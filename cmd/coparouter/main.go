@@ -1,10 +1,10 @@
 // Command coparouter is copaserve's sharded front tier: it
 // consistent-hashes each allocation request's cache identity across a
-// pool of copaserve backends (so the fleet's LRU caches shard the key
-// space instead of duplicating it), hedges requests that exceed a
-// p99-derived latency budget to the next backend on the ring, and
-// applies priority-class admission so interactive allocations shed
-// last and campaign/fleet backfill sheds first.
+// pool of copaserve backends (so the backend pool's LRU caches shard
+// the key space instead of duplicating it), hedges requests that
+// exceed a p99-derived latency budget to the next backend on the ring,
+// and applies priority-class admission so interactive allocations shed
+// last and campaign backfill sheds first.
 //
 // Endpoints:
 //

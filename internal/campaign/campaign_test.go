@@ -232,11 +232,11 @@ func TestMergerStreamsContiguousPrefix(t *testing.T) {
 		ur.col("y").Add(float64(u * u))
 		return ur
 	}
-	inOrder := NewMerger(spec)
+	inOrder := newMerger(spec)
 	for u := 0; u < 4; u++ {
 		inOrder.Add(unit(u))
 	}
-	m := NewMerger(spec)
+	m := newMerger(spec)
 	for _, step := range []struct{ unit, merged, pending int }{
 		{2, 0, 1}, {0, 1, 1}, {3, 0, 2}, {1, 3, 0},
 	} {
@@ -280,7 +280,7 @@ func TestRunCOPAPlusResumeFromGappedJournal(t *testing.T) {
 
 	for _, workers := range []int{1, 2} {
 		ckpt := filepath.Join(t.TempDir(), "campaign.jsonl")
-		jnl, _, err := OpenJournal(ckpt, spec, false)
+		jnl, _, err := openJournal(ckpt, spec, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -346,6 +346,10 @@ func TestRunToleratesTornTail(t *testing.T) {
 		`{"unit":1,"colu`,                     // killed mid-write: no newline
 		"not json at all\n",                   // corrupt but newline-terminated
 		`{"unit":999999,"columns":{}}` + "\n", // parseable but out of range
+		// A null column or sketch must be cut, never reach the merge.
+		`{"unit":1,"columns":{"x":null}}` + "\n",
+		`{"unit":1,"columns":{"x":{"n":1,"mean":2,"m2":0}}}` + "\n",
+		`{"unit":1,"columns":{"x":{"n":1,"mean":2,"m2":0,"sketch":null}}}` + "\n",
 	} {
 		ckpt := filepath.Join(t.TempDir(), "campaign.jsonl")
 		ctx, cancel := context.WithCancel(context.Background())

@@ -28,18 +28,18 @@ type journalHeader struct {
 	Spec        Spec   `json:"spec"`
 }
 
-// Journal appends completed units to the checkpoint file.
-type Journal struct {
+// journal appends completed units to the checkpoint file.
+type journal struct {
 	f *os.File
 	w *bufio.Writer
 }
 
-// OpenJournal opens (or creates) the checkpoint at path for spec.
+// openJournal opens (or creates) the checkpoint at path for spec.
 // Resume selects whether an existing file is loaded or an error: a
 // fresh campaign refuses to silently clobber a prior checkpoint unless
 // it is told to resume it. The returned map holds the units already
 // completed (empty for a fresh file).
-func OpenJournal(path string, spec Spec, resume bool) (*Journal, map[int]*UnitResult, error) {
+func openJournal(path string, spec Spec, resume bool) (*journal, map[int]*UnitResult, error) {
 	fp := spec.Fingerprint()
 	done := make(map[int]*UnitResult)
 
@@ -64,14 +64,14 @@ func OpenJournal(path string, spec Spec, resume bool) (*Journal, map[int]*UnitRe
 			f.Close()
 			return nil, nil, err
 		}
-		return &Journal{f: f, w: bufio.NewWriter(f)}, units, nil
+		return &journal{f: f, w: bufio.NewWriter(f)}, units, nil
 	}
 
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return nil, nil, err
 	}
-	j := &Journal{f: f, w: bufio.NewWriter(f)}
+	j := &journal{f: f, w: bufio.NewWriter(f)}
 	if err := j.writeLine(journalHeader{V: journalVersion, Fingerprint: fp, Spec: spec}); err != nil {
 		f.Close()
 		return nil, nil, err
@@ -81,8 +81,9 @@ func OpenJournal(path string, spec Spec, resume bool) (*Journal, map[int]*UnitRe
 
 // loadJournal parses a checkpoint, returning the byte length of the
 // valid prefix and the units it records. A header that fails to parse
-// or belongs to a different spec is an error; a trailing partial line
-// is tolerated (it marks the cut point).
+// or belongs to a different spec is an error. The first unit line that
+// is torn, unparsable, out of range or missing a column's aggregates
+// marks the cut point: it and everything after it are dropped.
 func loadJournal(path string, spec Spec, fingerprint string) (int64, map[int]*UnitResult, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -114,7 +115,7 @@ func loadJournal(path string, spec Spec, fingerprint string) (int64, map[int]*Un
 			if err := json.Unmarshal(line, &u); err != nil {
 				break // torn or corrupt tail line: truncate here
 			}
-			if u.Unit < 0 || u.Unit >= spec.Units() || u.Columns == nil {
+			if u.Unit < 0 || u.Unit >= spec.Units() || !wholeColumns(u.Columns) {
 				break
 			}
 			units[u.Unit] = &u
@@ -128,9 +129,24 @@ func loadJournal(path string, spec Spec, fingerprint string) (int64, map[int]*Un
 	return offset, units, nil
 }
 
+// wholeColumns reports whether a decoded unit line carries a column map
+// whose every column has its sketch. A null column or sketch cannot
+// come from a completed unit, so it marks a corrupt cut point.
+func wholeColumns(cols map[string]*Column) bool {
+	if cols == nil {
+		return false
+	}
+	for _, c := range cols {
+		if c == nil || c.Sketch == nil {
+			return false
+		}
+	}
+	return true
+}
+
 // writeLine appends one JSON line and flushes it to the OS, so a
 // completed unit survives any subsequent kill of the process.
-func (j *Journal) writeLine(v any) error {
+func (j *journal) writeLine(v any) error {
 	data, err := json.Marshal(v)
 	if err != nil {
 		return err
@@ -142,10 +158,10 @@ func (j *Journal) writeLine(v any) error {
 }
 
 // Record journals one completed unit.
-func (j *Journal) Record(u *UnitResult) error { return j.writeLine(u) }
+func (j *journal) Record(u *UnitResult) error { return j.writeLine(u) }
 
 // Close flushes and closes the file.
-func (j *Journal) Close() error {
+func (j *journal) Close() error {
 	if j == nil {
 		return nil
 	}

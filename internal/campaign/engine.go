@@ -33,9 +33,9 @@ type Options struct {
 	ProgressEvery time.Duration
 }
 
-// Progress is the collector's running view of a campaign, passed to
+// progress is the collector's running view of a campaign, passed to
 // the periodic log line and mirrored into the copa.campaign.* gauges.
-type Progress struct {
+type progress struct {
 	Done, Total int
 	// UnitsPerSec is the completion rate of THIS run (resumed units
 	// journaled by a prior run don't count toward the rate).
@@ -48,7 +48,7 @@ type Progress struct {
 // Run executes a campaign to completion: it shards the spec's scenario
 // space into units, skips units already journaled in the checkpoint,
 // fans the rest out over the worker pool, journals each as it
-// completes, and streams it through a Merger in ascending unit order.
+// completes, and streams it through a merger in ascending unit order.
 // Cancelling ctx stops the engine promptly — in-flight units abort
 // unjournaled, completed ones are already durable — and returns
 // ctx.Err(); a later Resume run recomputes only what is missing and
@@ -70,12 +70,12 @@ func Run(ctx context.Context, spec Spec, opt Options) (*Result, error) {
 	mRuns.Inc()
 
 	total := spec.Units()
-	merge := NewMerger(spec)
-	var jnl *Journal
+	merge := newMerger(spec)
+	var jnl *journal
 	var done map[int]*UnitResult // journaled by a prior run; dropped once merged
 	if opt.Checkpoint != "" {
 		var err error
-		jnl, done, err = OpenJournal(opt.Checkpoint, spec, opt.Resume)
+		jnl, done, err = openJournal(opt.Checkpoint, spec, opt.Resume)
 		if err != nil {
 			runErr = err
 			return nil, err
@@ -115,7 +115,7 @@ func Run(ctx context.Context, spec Spec, opt Options) (*Result, error) {
 	}
 
 	// The feeder sees only which units are journaled, not their
-	// results, so the collector can drop done once the Merger has them.
+	// results, so the collector can drop done once the merger has them.
 	var journaled []bool // nil on a fresh run
 	if len(done) > 0 {
 		journaled = make([]bool, total)
@@ -181,13 +181,13 @@ func Run(ctx context.Context, spec Spec, opt Options) (*Result, error) {
 	completed := len(done)
 	unitsPerShard := spec.Cells()
 	shardDone := make([]int, spec.Shards)
-	gauges := ShardGauges(spec.Shards)
+	gauges := shardGauges(spec.Shards)
 	for u, res := range done {
 		merge.Add(res)
 		_, _, sh := spec.UnitCoord(u)
 		shardDone[sh]++
 	}
-	done = nil // the Merger holds the journaled units it could not fold yet
+	done = nil // the merger holds the journaled units it could not fold yet
 	for sh, g := range gauges {
 		g.Set(float64(shardDone[sh]) / float64(unitsPerShard))
 	}
@@ -202,7 +202,7 @@ func Run(ctx context.Context, spec Spec, opt Options) (*Result, error) {
 
 		// Rate and ETA count only THIS run's completions: resumed units
 		// were paid for by a previous process and would inflate both.
-		prog := Progress{Done: completed, Total: total}
+		prog := progress{Done: completed, Total: total}
 		if elapsed := time.Since(started).Seconds(); elapsed > 0 {
 			prog.UnitsPerSec = float64(completed-resumed) / elapsed
 		}
@@ -253,30 +253,29 @@ func Run(ctx context.Context, spec Spec, opt Options) (*Result, error) {
 	return merge.Result(), nil
 }
 
-// Merger folds completed units into a campaign's columns in ascending
+// merger folds completed units into a campaign's columns in ascending
 // unit order — the one fixed order that makes the floating-point
 // Moments merge, and therefore the serialized Result, byte-identical
 // across worker counts, interleavings, resumes, and processes. Units
 // may arrive in any order: each one is merged as soon as it extends the
 // contiguous prefix of merged units, and only the ones ahead of a gap
-// are held. The engine's collector and the fleet coordinator both merge
-// through it. A Merger is not safe for concurrent use.
-type Merger struct {
+// are held. A merger is not safe for concurrent use.
+type merger struct {
 	spec    Spec
 	cols    map[string]*Column
 	pending map[int]*UnitResult // completed, awaiting an earlier unit; nil until one arrives early
 	next    int                 // lowest unit not yet merged
 }
 
-// NewMerger returns an empty merger for spec's units.
-func NewMerger(spec Spec) *Merger {
-	return &Merger{spec: spec, cols: make(map[string]*Column)}
+// newMerger returns an empty merger for spec's units.
+func newMerger(spec Spec) *merger {
+	return &merger{spec: spec, cols: make(map[string]*Column)}
 }
 
 // Add takes one completed unit (each unit exactly once) and merges
 // every held unit that now extends the prefix. It returns how many
 // units it merged.
-func (m *Merger) Add(ur *UnitResult) int {
+func (m *merger) Add(ur *UnitResult) int {
 	if ur.Unit != m.next {
 		if m.pending == nil {
 			m.pending = make(map[int]*UnitResult)
@@ -287,7 +286,14 @@ func (m *Merger) Add(ur *UnitResult) int {
 	merged := 0
 	for ur != nil {
 		delete(m.pending, ur.Unit)
-		MergeUnit(m.cols, ur)
+		for _, name := range sortedColNames(ur.Columns) {
+			c, ok := m.cols[name]
+			if !ok {
+				c = NewColumn()
+				m.cols[name] = c
+			}
+			c.Merge(ur.Columns[name])
+		}
 		m.next++
 		merged++
 		ur = m.pending[m.next]
@@ -296,28 +302,12 @@ func (m *Merger) Add(ur *UnitResult) int {
 }
 
 // Pending returns how many added units wait for an earlier one.
-func (m *Merger) Pending() int { return len(m.pending) }
+func (m *merger) Pending() int { return len(m.pending) }
 
 // Result returns the merged campaign; it is complete once every unit
 // of the spec has been added.
-func (m *Merger) Result() *Result {
+func (m *merger) Result() *Result {
 	return &Result{Spec: m.spec, Units: m.next, Columns: m.cols}
-}
-
-// MergeUnit folds one unit's aggregates into the accumulator map,
-// creating columns on first sight. It visits the unit's columns in
-// sorted name order, so callers that feed units in ascending unit order
-// — as Merger does — produce identical floating-point results and
-// identical bytes.
-func MergeUnit(into map[string]*Column, ur *UnitResult) {
-	for _, name := range sortedColNames(ur.Columns) {
-		c, ok := into[name]
-		if !ok {
-			c = NewColumn()
-			into[name] = c
-		}
-		c.Merge(ur.Columns[name])
-	}
 }
 
 func sortedColNames(cols map[string]*Column) []string {

@@ -27,11 +27,11 @@ var (
 	mETASeconds = obs.G("copa.campaign.eta_seconds")
 )
 
-// ShardGauges resolves one completion-fraction gauge per shard index,
+// shardGauges resolves one completion-fraction gauge per shard index,
 // named copa.campaign.shard_progress.s<k>. Shard counts are small and
 // stable across a process's campaigns, so repeated Run calls resolve
 // the same handles.
-func ShardGauges(shards int) []*obs.Gauge {
+func shardGauges(shards int) []*obs.Gauge {
 	gs := make([]*obs.Gauge, shards)
 	for sh := range gs {
 		gs[sh] = obs.G(fmt.Sprintf("copa.campaign.shard_progress.s%d", sh))

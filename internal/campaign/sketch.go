@@ -209,7 +209,7 @@ func (s *Sketch) UnmarshalJSON(data []byte) error {
 	s.zero = js.Zero
 	s.buckets = make(map[int32]uint64, len(js.Buckets))
 	for _, kv := range js.Buckets {
-		if kv[0] == 0 || kv[1] < 0 {
+		if kv[0] == 0 || kv[0] < math.MinInt32 || kv[0] > math.MaxInt32 || kv[1] < 0 {
 			return fmt.Errorf("campaign: invalid sketch bucket %v", kv)
 		}
 		s.buckets[int32(kv[0])] += uint64(kv[1])

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 
 	"copa/internal/rng"
@@ -147,5 +148,30 @@ func TestSketchBucketRelativeWidth(t *testing.T) {
 		if rel := math.Abs(mid-v) / math.Abs(v); rel > 1.0/(2*sketchSubBuckets) {
 			t.Errorf("v=%g: midpoint %g off by %.5f relative", v, mid, rel)
 		}
+	}
+}
+
+func TestSketchJSONRejectsInvalidBuckets(t *testing.T) {
+	// A key outside int32 would wrap when stored: 2^32 decodes as key 0
+	// and its samples vanish on the next marshal.
+	for _, data := range []string{
+		`{"zero":0,"buckets":[[0,5]]}`,
+		`{"zero":0,"buckets":[[7,-1]]}`,
+		`{"zero":0,"buckets":[[4294967296,5]]}`,
+		`{"zero":0,"buckets":[[2147483648,5]]}`,
+		`{"zero":0,"buckets":[[-2147483649,5]]}`,
+	} {
+		var sk Sketch
+		err := json.Unmarshal([]byte(data), &sk)
+		if err == nil || !strings.Contains(err.Error(), "invalid sketch bucket") {
+			t.Errorf("%s: error %v, want invalid sketch bucket", data, err)
+		}
+	}
+	var sk Sketch
+	if err := json.Unmarshal([]byte(`{"zero":1,"buckets":[[-2147483648,2],[2147483647,3]]}`), &sk); err != nil {
+		t.Fatalf("int32 extremes rejected: %v", err)
+	}
+	if sk.Count() != 6 {
+		t.Fatalf("count %d, want 6", sk.Count())
 	}
 }

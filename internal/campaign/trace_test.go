@@ -80,7 +80,7 @@ func TestUntracedRunRecordsNoSpans(t *testing.T) {
 func TestCampaignRunSpanRecordsError(t *testing.T) {
 	spec := testSpec()
 	ckpt := filepath.Join(t.TempDir(), "existing.jsonl")
-	jnl, _, err := OpenJournal(ckpt, spec, false)
+	jnl, _, err := openJournal(ckpt, spec, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestCampaignShardProgressGauges(t *testing.T) {
 	if _, err := Run(context.Background(), spec, Options{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
-	for sh, g := range ShardGauges(spec.Shards) {
+	for sh, g := range shardGauges(spec.Shards) {
 		if v := g.Value(); v != 1.0 {
 			t.Errorf("shard %d progress = %v, want 1.0", sh, v)
 		}

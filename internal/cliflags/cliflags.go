@@ -176,55 +176,6 @@ func (c *CampaignFlags) EffectiveShards(topologies int) int {
 	return s
 }
 
-// FleetFlags is the distributed-campaign flag set: a command can serve
-// a campaign as a fleet coordinator, or join one as a headless worker.
-type FleetFlags struct {
-	// Coordinator is the -serve-coordinator listen address ("" = run
-	// the campaign in-process as usual).
-	Coordinator string
-	// Join is the coordinator base URL to join as a worker ("" = not a
-	// worker).
-	Join string
-	// LeaseTTL is how long the coordinator waits for a heartbeat before
-	// reclaiming a leased unit.
-	LeaseTTL time.Duration
-	// AddrFile, when set, receives the coordinator's bound base URL —
-	// the scripted-handoff hook for tests and wrappers using ":0".
-	AddrFile string
-}
-
-// Fleet registers -serve-coordinator, -join, -lease-ttl and -addr-file.
-func Fleet(fs *flag.FlagSet) *FleetFlags {
-	f := &FleetFlags{}
-	fs.StringVar(&f.Coordinator, "serve-coordinator", "", "serve this campaign to fleet workers on the given address (\":0\" picks a port)")
-	fs.StringVar(&f.Join, "join", "", "join the fleet coordinator at this base URL as a worker (the coordinator's spec wins; local spec flags are ignored)")
-	fs.DurationVar(&f.LeaseTTL, "lease-ttl", 10*time.Second, "coordinator: reclaim a leased unit this long after its last heartbeat")
-	fs.StringVar(&f.AddrFile, "addr-file", "", "coordinator: write the bound base URL to this file once listening")
-	return f
-}
-
-// Validate rejects fleet flag combinations against the campaign flags:
-// the two roles are exclusive, checkpoints belong to the coordinator,
-// and a worker needs at least one evaluator.
-func (f *FleetFlags) Validate(c *CampaignFlags) error {
-	if f.Coordinator != "" && f.Join != "" {
-		return fmt.Errorf("-serve-coordinator and -join are mutually exclusive")
-	}
-	if f.Join != "" && (c.Checkpoint != "" || c.Resume) {
-		return fmt.Errorf("-checkpoint/-resume belong to the coordinator, not a -join worker")
-	}
-	if f.Join != "" && c.Workers < 1 {
-		return fmt.Errorf("-join needs -workers ≥ 1 (got %d)", c.Workers)
-	}
-	if f.AddrFile != "" && f.Coordinator == "" {
-		return fmt.Errorf("-addr-file requires -serve-coordinator")
-	}
-	if f.LeaseTTL <= 0 {
-		return fmt.Errorf("-lease-ttl must be positive (got %v)", f.LeaseTTL)
-	}
-	return nil
-}
-
 // DebugFlags is the operational flag set every copa command shares:
 // -v / -debug-addr plus the tracing pair -trace-out / -trace-sample.
 type DebugFlags struct {

@@ -6,9 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
-	"time"
 
 	"copa/internal/channel"
 	"copa/internal/obs"
@@ -197,49 +195,6 @@ func TestEffectiveShards(t *testing.T) {
 		cf := CampaignFlags{Shards: tc.shards}
 		if got := cf.EffectiveShards(tc.topologies); got != tc.want {
 			t.Errorf("EffectiveShards(shards=%d, topologies=%d) = %d, want %d", tc.shards, tc.topologies, got, tc.want)
-		}
-	}
-}
-
-func TestFleetFlags(t *testing.T) {
-	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	cf := Campaign(fs)
-	ff := Fleet(fs)
-	if err := fs.Parse([]string{"-serve-coordinator", ":9400", "-lease-ttl", "5s", "-addr-file", "a.url"}); err != nil {
-		t.Fatal(err)
-	}
-	if ff.Coordinator != ":9400" || ff.LeaseTTL != 5*time.Second || ff.AddrFile != "a.url" {
-		t.Fatalf("parsed %+v", ff)
-	}
-	if err := ff.Validate(cf); err != nil {
-		t.Fatalf("valid coordinator flags rejected: %v", err)
-	}
-}
-
-func TestFleetValidate(t *testing.T) {
-	cases := []struct {
-		name string
-		ff   FleetFlags
-		cf   CampaignFlags
-		want string
-	}{
-		{"both roles", FleetFlags{Coordinator: ":0", Join: "http://x", LeaseTTL: time.Second}, CampaignFlags{Workers: 1}, "mutually exclusive"},
-		{"worker checkpoint", FleetFlags{Join: "http://x", LeaseTTL: time.Second}, CampaignFlags{Workers: 1, Checkpoint: "c"}, "belong to the coordinator"},
-		{"worker no evaluators", FleetFlags{Join: "http://x", LeaseTTL: time.Second}, CampaignFlags{}, "-workers"},
-		{"addr-file alone", FleetFlags{AddrFile: "a", LeaseTTL: time.Second}, CampaignFlags{Workers: 1}, "-serve-coordinator"},
-		{"zero ttl", FleetFlags{Coordinator: ":0"}, CampaignFlags{Workers: 1}, "lease-ttl"},
-		{"plain run ok", FleetFlags{LeaseTTL: time.Second}, CampaignFlags{Workers: 1}, ""},
-	}
-	for _, tc := range cases {
-		err := tc.ff.Validate(&tc.cf)
-		if tc.want == "" {
-			if err != nil {
-				t.Errorf("%s: unexpected error %v", tc.name, err)
-			}
-			continue
-		}
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %v, want substring %q", tc.name, err, tc.want)
 		}
 	}
 }

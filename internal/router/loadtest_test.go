@@ -1,6 +1,7 @@
 package router
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -8,16 +9,64 @@ import (
 	"testing"
 	"time"
 
-	"copa/internal/fleet"
 	"copa/internal/rng"
 )
 
+// errInjectedDrop is the transport error a faultyTransport returns for
+// a dropped request; the router treats it like any network failure.
+var errInjectedDrop = errors.New("router test: injected drop")
+
+// faultyTransport degrades one backend with seeded, reproducible
+// faults: each request is dropped with probability dropRequest, and a
+// request that is not dropped waits a uniform delay in [0, delayMax)
+// first. Draws are serialized, so a fixed seed and request order give
+// a fixed fault sequence.
+type faultyTransport struct {
+	dropRequest float64
+	delayMax    time.Duration
+
+	mu  sync.Mutex
+	src *rng.Source
+}
+
+// draw makes one request's fault decisions under the lock: the drop
+// first, then the delay only for a request that goes out.
+func (t *faultyTransport) draw() (drop bool, delay time.Duration) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.src.Bool(t.dropRequest) {
+		return true, 0
+	}
+	return false, time.Duration(t.src.Float64() * float64(t.delayMax))
+}
+
+func (t *faultyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	drop, delay := t.draw()
+	if drop {
+		if req.Body != nil {
+			req.Body.Close()
+		}
+		return nil, errInjectedDrop
+	}
+	if delay > 0 {
+		select {
+		case <-req.Context().Done():
+			if req.Body != nil {
+				req.Body.Close()
+			}
+			return nil, req.Context().Err()
+		case <-time.After(delay):
+		}
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
 // TestRouterLoadDegradedBackend runs mixed-priority traffic against a
-// three-backend fleet with one backend artificially degraded — extra
+// three-backend pool with one backend artificially degraded — extra
 // latency and dropped requests injected through the TransportFor seam
-// by a seeded fleet.FaultyTransport — and asserts the hedging layer
-// keeps the fleet p99 within SLO: a degraded third of the ring must
-// cost hedges, not tail latency.
+// by a seeded faultyTransport — and asserts the hedging layer keeps
+// the pool's p99 within SLO: a degraded third of the ring must cost
+// hedges, not tail latency.
 func TestRouterLoadDegradedBackend(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load test skipped in -short mode")
@@ -33,10 +82,11 @@ func TestRouterLoadDegradedBackend(t *testing.T) {
 			if backendURL != degraded {
 				return nil // default transport
 			}
-			return fleet.NewFaultyTransport(nil, fleet.FaultConfig{
-				DelayMax:    120 * time.Millisecond,
-				DropRequest: 0.15,
-			}, rng.New(42))
+			return &faultyTransport{
+				dropRequest: 0.15,
+				delayMax:    120 * time.Millisecond,
+				src:         rng.New(42),
+			}
 		},
 	})
 

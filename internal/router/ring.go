@@ -20,7 +20,7 @@ import (
 
 // defaultVnodes balances ring balance against build cost: at 128
 // points per backend, shard occupancy stays within ~35% of the mean
-// for small fleets (TestRingBalance pins this).
+// for small backend pools (TestRingBalance pins this).
 const defaultVnodes = 128
 
 type ring struct {

@@ -1,8 +1,8 @@
 // Package router is copaserve's sharded front tier: an HTTP reverse
 // proxy that consistent-hashes each allocation request's full cache
 // identity (serve.ShardKey — scenario, seed, mode, impairments, CSI
-// age bucket/epoch) across N copaserve backends, so the fleet's LRU
-// result caches shard the key space instead of each duplicating it.
+// age bucket/epoch) across N copaserve backends, so the backend pool's
+// LRU result caches shard the key space instead of each duplicating it.
 //
 // Three mechanisms turn the hash ring into a serving tier (DESIGN
 // §15):
@@ -20,7 +20,7 @@
 //     duplicate safe — both backends compute identical bytes.
 //
 //   - Priority-class admission: interactive allocations are shed
-//     last, campaign/fleet backfill first, via a two-watermark
+//     last, campaign backfill first, via a two-watermark
 //     in-flight gate in front of the serve layer's own queue/deadline
 //     machinery (each backend still applies DESIGN §9 admission).
 //
@@ -97,7 +97,7 @@ type Config struct {
 	// Transport overrides the backend HTTP transport (default
 	// http.DefaultTransport). TransportFor, when non-nil, wins per
 	// backend URL — the fault-injection seam the degraded-backend load
-	// test wraps a fleet.FaultyTransport-style RoundTripper through.
+	// test wraps its seeded faulty RoundTripper through.
 	Transport    http.RoundTripper
 	TransportFor func(backendURL string) http.RoundTripper
 }
@@ -285,7 +285,7 @@ func (rt *Router) admit(w http.ResponseWriter, r *http.Request) (string, bool) {
 		class = PriorityInteractive
 	default:
 		// Anything that is not explicitly interactive sheds first:
-		// campaign/fleet backfill marks itself batch, and unknown
+		// campaign backfill marks itself batch, and unknown
 		// classes are treated as batch rather than rejected so a
 		// newer client with a finer class taxonomy degrades safely.
 		class = PriorityBatch

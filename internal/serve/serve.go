@@ -346,7 +346,8 @@ func validUntil(epoch int64, bucket int, coherence time.Duration) time.Duration 
 // string. It is the contract between this cache and a consistent-hash
 // front tier: two requests that would share a cache entry here produce
 // equal shard keys, so a router hashing ShardKey routes them to the
-// same backend and the fleet's caches shard instead of duplicating.
+// same backend and the backend pool's caches shard instead of
+// duplicating.
 // A non-positive coherence uses the default the server itself defaults
 // to, keeping router and backend bucketing aligned.
 func ShardKey(req Request, coherence time.Duration) string {
