@@ -115,16 +115,28 @@ drift-smoke:
 	$(GO) run ./cmd/copacampaign -mobility -topologies 2 -duration 60ms -drift-thresholds 1 -q
 
 # fuzz campaigns the wire-format parsers and the campaign checkpoint
-# reader (go test accepts one -fuzz target per invocation, hence the
-# sequence). FUZZTIME=2m make fuzz for
-# a longer run.
+# reader. go test accepts one -fuzz target per invocation, so each
+# package:target pair runs in turn; every target runs even after one
+# fails, the failures are listed, and the exit status is non-zero if any
+# failed. FUZZTIME=2m make fuzz for a longer run.
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzITSInitParse$$' -fuzztime $(FUZZTIME) ./internal/mac
-	$(GO) test -run '^$$' -fuzz '^FuzzITSReqParse$$' -fuzztime $(FUZZTIME) ./internal/mac
-	$(GO) test -run '^$$' -fuzz '^FuzzITSAckParse$$' -fuzztime $(FUZZTIME) ./internal/mac
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMatrices$$' -fuzztime $(FUZZTIME) ./internal/csi
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDelta$$' -fuzztime $(FUZZTIME) ./internal/csi
-	$(GO) test -run '^$$' -fuzz '^FuzzLoadJournal$$' -fuzztime $(FUZZTIME) ./internal/campaign
+	@failed=; \
+	for t in \
+		./internal/mac:FuzzITSInitParse \
+		./internal/mac:FuzzITSReqParse \
+		./internal/mac:FuzzITSAckParse \
+		./internal/csi:FuzzDecodeMatrices \
+		./internal/csi:FuzzDecodeDelta \
+		./internal/campaign:FuzzLoadJournal \
+		./internal/api:FuzzDecodeRequestBinary \
+		./internal/api:FuzzDecodeResponseBinary; \
+	do \
+		pkg=$${t%%:*}; name=$${t##*:}; \
+		echo "fuzz: $$name ($$pkg)"; \
+		$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) $$pkg || failed="$$failed $$name"; \
+	done; \
+	if [ -n "$$failed" ]; then echo "fuzz: FAILED:$$failed"; exit 1; fi; \
+	echo "fuzz: all targets passed"
 
 # serve runs the allocation daemon on its default port with debug
 # endpoints enabled; override SERVE_FLAGS for a different shape.

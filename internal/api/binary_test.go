@@ -136,6 +136,66 @@ func TestBinaryDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
+// FuzzDecodeRequestBinary: any body must fail cleanly or decode to a
+// request that re-encodes, and decodes again to the same request. Floats
+// are compared bit for bit through the encoding, so NaN payloads count.
+func FuzzDecodeRequestBinary(f *testing.F) {
+	golden, err := hex.DecodeString(goldenRequestHex)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte{})
+	f.Add(golden)
+	f.Add(golden[:len(golden)/2])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ar, err := DecodeRequestBinary(data)
+		if err != nil {
+			return
+		}
+		enc, err := EncodeRequestBinary(ar)
+		if err != nil {
+			t.Fatalf("decoded request %+v does not re-encode: %v", ar, err)
+		}
+		back, err := DecodeRequestBinary(enc)
+		if err != nil {
+			t.Fatalf("re-encoded request rejected: %v", err)
+		}
+		again, err := EncodeRequestBinary(back)
+		if err != nil || !bytes.Equal(again, enc) {
+			t.Fatalf("round trip changed the request: %+v -> %+v (%v)", ar, back, err)
+		}
+	})
+}
+
+// FuzzDecodeResponseBinary is FuzzDecodeRequestBinary for responses.
+func FuzzDecodeResponseBinary(f *testing.F) {
+	golden, err := hex.DecodeString(goldenResponseHex)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte{})
+	f.Add(golden)
+	f.Add(golden[:len(golden)/2])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		resp, err := DecodeResponseBinary(data)
+		if err != nil {
+			return
+		}
+		enc, err := EncodeResponseBinary(resp)
+		if err != nil {
+			t.Fatalf("decoded response %+v does not re-encode: %v", resp, err)
+		}
+		back, err := DecodeResponseBinary(enc)
+		if err != nil {
+			t.Fatalf("re-encoded response rejected: %v", err)
+		}
+		again, err := EncodeResponseBinary(back)
+		if err != nil || !bytes.Equal(again, enc) {
+			t.Fatalf("round trip changed the response: %+v -> %+v (%v)", resp, back, err)
+		}
+	})
+}
+
 func TestIsBinary(t *testing.T) {
 	for header, want := range map[string]bool{
 		"":                                       false,

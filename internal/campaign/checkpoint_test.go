@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -29,7 +30,8 @@ func journalHeaderBytes(t testing.TB, spec Spec) []byte {
 
 // FuzzLoadJournal feeds arbitrary bytes after a valid header to the
 // checkpoint reader. Whatever it keeps must end on a line boundary,
-// survive the resume truncation unchanged, and merge without panicking.
+// survive the resume truncation unchanged, re-marshal to units with the
+// same sketch counts, and merge without panicking.
 func FuzzLoadJournal(f *testing.F) {
 	spec := testSpec()
 	header := journalHeaderBytes(f, spec)
@@ -40,6 +42,7 @@ func FuzzLoadJournal(f *testing.F) {
 		`{"unit":0,"columns":{"x":{"n":2,"mean":1.5,"m2":0.5,"sketch":{"zero":0,"buckets":[[4194560,2]]}}}}` + "\n" + `{"unit":1,"colu`,
 		`{"unit":0,"columns":{"x":null}}` + "\n",
 		`{"unit":0,"columns":{"x":{"n":5,"mean":1,"m2":0,"sketch":{"zero":0,"buckets":[[4294967296,5]]}}}}` + "\n",
+		`{"unit":0,"columns":{"x":{"n":2,"mean":1,"m2":0,"sketch":{"zero":0,"buckets":[[4194560,9223372036854775807],[4194560,9223372036854775807]]}}}}` + "\n",
 		string(journalHeaderBytes(f, other)),
 	} {
 		f.Add([]byte(seed))
@@ -79,8 +82,21 @@ func FuzzLoadJournal(f *testing.F) {
 		}
 
 		order := make([]int, 0, len(units))
-		for u := range units {
+		for u, res := range units {
 			order = append(order, u)
+			line, err := json.Marshal(res)
+			if err != nil {
+				t.Fatalf("unit %d: re-marshal: %v", u, err)
+			}
+			var back UnitResult
+			if err := json.Unmarshal(line, &back); err != nil {
+				t.Fatalf("unit %d: re-marshalled line %s rejected: %v", u, line, err)
+			}
+			for name, c := range res.Columns {
+				if got, want := back.Columns[name].Sketch.Count(), c.Sketch.Count(); got != want {
+					t.Fatalf("unit %d column %q: sketch count %d after round trip, want %d", u, name, got, want)
+				}
+			}
 		}
 		sort.Ints(order)
 		m := newMerger(spec)

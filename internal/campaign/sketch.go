@@ -53,6 +53,10 @@ func keyOf(v float64) int32 {
 	return k
 }
 
+// minKey and maxKey bound |keyOf(v)| over every finite nonzero float64;
+// a decoded key outside them names no bucket Add can fill.
+var minKey, maxKey = int64(keyOf(math.SmallestNonzeroFloat64)), int64(keyOf(math.MaxFloat64))
+
 // bucketMid returns the midpoint value of the bucket an encoded key
 // names — the representative returned for quantiles falling in it.
 func bucketMid(key int32) float64 {
@@ -209,10 +213,17 @@ func (s *Sketch) UnmarshalJSON(data []byte) error {
 	s.zero = js.Zero
 	s.buckets = make(map[int32]uint64, len(js.Buckets))
 	for _, kv := range js.Buckets {
-		if kv[0] == 0 || kv[0] < math.MinInt32 || kv[0] > math.MaxInt32 || kv[1] < 0 {
+		k := kv[0]
+		if k < 0 {
+			k = -k
+		}
+		if k < minKey || k > maxKey || kv[1] < 0 {
 			return fmt.Errorf("campaign: invalid sketch bucket %v", kv)
 		}
-		s.buckets[int32(kv[0])] += uint64(kv[1])
+		if _, dup := s.buckets[int32(kv[0])]; dup {
+			return fmt.Errorf("campaign: invalid sketch bucket %v: duplicate key", kv)
+		}
+		s.buckets[int32(kv[0])] = uint64(kv[1])
 	}
 	return nil
 }

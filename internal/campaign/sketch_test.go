@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -153,13 +154,20 @@ func TestSketchBucketRelativeWidth(t *testing.T) {
 
 func TestSketchJSONRejectsInvalidBuckets(t *testing.T) {
 	// A key outside int32 would wrap when stored: 2^32 decodes as key 0
-	// and its samples vanish on the next marshal.
+	// and its samples vanish on the next marshal. A key keyOf never
+	// produces reads back as a ±Inf or 0 quantile.
 	for _, data := range []string{
 		`{"zero":0,"buckets":[[0,5]]}`,
 		`{"zero":0,"buckets":[[7,-1]]}`,
 		`{"zero":0,"buckets":[[4294967296,5]]}`,
 		`{"zero":0,"buckets":[[2147483648,5]]}`,
 		`{"zero":0,"buckets":[[-2147483649,5]]}`,
+		`{"zero":0,"buckets":[[2147483647,3]]}`,
+		`{"zero":0,"buckets":[[-2147483648,3]]}`,
+		`{"zero":0,"buckets":[[5,3]]}`,
+		`{"zero":0,"buckets":[[4056959,3]]}`,
+		`{"zero":0,"buckets":[[-4325504,3]]}`,
+		`{"zero":0,"buckets":[[4194560,1],[4194560,1]]}`,
 	} {
 		var sk Sketch
 		err := json.Unmarshal([]byte(data), &sk)
@@ -167,11 +175,22 @@ func TestSketchJSONRejectsInvalidBuckets(t *testing.T) {
 			t.Errorf("%s: error %v, want invalid sketch bucket", data, err)
 		}
 	}
+	// The extreme keys keyOf produces load and read back finite.
+	lo, hi := keyOf(math.SmallestNonzeroFloat64), keyOf(math.MaxFloat64)
+	if lo != 4056960 || hi != 4325503 {
+		t.Fatalf("key range [%d, %d], want [4056960, 4325503]", lo, hi)
+	}
+	data := fmt.Sprintf(`{"zero":1,"buckets":[[%d,2],[%d,1],[%d,1],[%d,1]]}`, -hi, -lo, lo, hi)
 	var sk Sketch
-	if err := json.Unmarshal([]byte(`{"zero":1,"buckets":[[-2147483648,2],[2147483647,3]]}`), &sk); err != nil {
-		t.Fatalf("int32 extremes rejected: %v", err)
+	if err := json.Unmarshal([]byte(data), &sk); err != nil {
+		t.Fatalf("extreme keys rejected: %v", err)
 	}
 	if sk.Count() != 6 {
 		t.Fatalf("count %d, want 6", sk.Count())
+	}
+	for _, q := range []float64{0, 1} {
+		if v := sk.Quantile(q); math.IsInf(v, 0) || v == 0 {
+			t.Errorf("Quantile(%g) = %g, want finite nonzero", q, v)
+		}
 	}
 }

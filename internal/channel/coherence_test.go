@@ -2,10 +2,54 @@ package channel
 
 import (
 	"math"
+	"math/cmplx"
 	"testing"
 
 	"copa/internal/rng"
 )
+
+// MeasureCoherenceTime empirically estimates a link's coherence time the
+// way a real system would: sound the channel repeatedly while it evolves,
+// correlate each snapshot against the first, and report the lag at which
+// the complex temporal autocorrelation decays to 1/e. The tests below use
+// it to check that Link.Evolve is calibrated to the configured coherence
+// time.
+//
+// The link is evolved destructively; pass a Clone if the original matters.
+// stepSec is the sounding interval; maxSteps bounds the experiment.
+// Returns +Inf if the correlation never decays below 1/e within the
+// horizon.
+func MeasureCoherenceTime(src *rng.Source, link *Link, coherenceSec, stepSec float64, maxSteps int) float64 {
+	ref := link.Clone()
+	refPow := 0.0
+	for _, h := range ref.Subcarriers {
+		for _, v := range h.Data {
+			refPow += real(v)*real(v) + imag(v)*imag(v)
+		}
+	}
+	if refPow == 0 {
+		return math.Inf(1)
+	}
+	threshold := 1 / math.E
+	for step := 1; step <= maxSteps; step++ {
+		link.Evolve(src.Split(uint64(step)), stepSec, coherenceSec)
+		var inner complex128
+		for k := range ref.Subcarriers {
+			a, b := ref.Subcarriers[k], link.Subcarriers[k]
+			for i := range a.Data {
+				inner += cmplx.Conj(a.Data[i]) * b.Data[i]
+			}
+		}
+		corr := cmplx.Abs(inner) / refPow
+		if corr < threshold {
+			// Linear interpolation inside the last step would need the
+			// previous correlation; the step granularity is the caller's
+			// choice of resolution.
+			return float64(step) * stepSec
+		}
+	}
+	return math.Inf(1)
+}
 
 func TestMeasureCoherenceTimeMatchesModel(t *testing.T) {
 	// The Gauss–Markov evolution decorrelates with exp(−t/tc); the 1/e

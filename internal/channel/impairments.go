@@ -3,7 +3,6 @@ package channel
 import (
 	"math"
 
-	"copa/internal/linalg"
 	"copa/internal/rng"
 )
 
@@ -162,31 +161,4 @@ func (imp Impairments) nullVarFactors(src *rng.Source, n int) []float64 {
 		out[k] *= scale
 	}
 	return out
-}
-
-// TxNoiseCovariance returns the covariance scale of the transmitter's EVM
-// noise for a sender radiating total power txPowerMW on a subcarrier: the
-// noise is white across transmit antennas with this per-antenna variance,
-// and propagates through the true channel to every receiver — including
-// ones the signal was nulled toward.
-func (imp Impairments) TxNoiseCovariance(txPowerMW float64, nTx int) float64 {
-	if nTx <= 0 {
-		return 0
-	}
-	return DBToLinear(imp.TxEVMDB) * txPowerMW / float64(nTx)
-}
-
-// InterferenceCovariance builds the Nr×Nr covariance matrix of the
-// interference a receiver sees from a sender transmitting symbol
-// covariance Q (Nt×Nt, typically P·ppᴴ summed over streams) through true
-// channel h, plus that sender's TX EVM noise. Used by MMSE SINR
-// computation in the precoding package.
-func InterferenceCovariance(h *linalg.Matrix, q *linalg.Matrix, txEVMVarPerAntenna float64) *linalg.Matrix {
-	// H·Q·Hᴴ + evmVar·H·Hᴴ
-	cov := h.Mul(q).Mul(h.H())
-	if txEVMVarPerAntenna > 0 {
-		hhh := h.Mul(h.H()).Scale(complex(txEVMVarPerAntenna, 0))
-		cov = cov.Add(hhh)
-	}
-	return cov
 }

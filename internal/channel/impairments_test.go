@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"copa/internal/linalg"
 	"copa/internal/rng"
 )
 
@@ -60,28 +59,6 @@ func TestNullVarFactorsNormalization(t *testing.T) {
 	}
 }
 
-func TestTxNoiseCovariance(t *testing.T) {
-	imp := Impairments{TxEVMDB: -30}
-	v := imp.TxNoiseCovariance(10, 4)
-	want := DBToLinear(-30) * 10 / 4
-	if math.Abs(v-want) > 1e-15 {
-		t.Errorf("cov %g want %g", v, want)
-	}
-	if imp.TxNoiseCovariance(10, 0) != 0 {
-		t.Error("zero antennas should give zero")
-	}
-}
-
-func TestInterferenceCovariance(t *testing.T) {
-	h := linalg.FromRows([][]complex128{{1, 0}, {0, 2}})
-	q := linalg.Identity(2).Scale(3)
-	cov := InterferenceCovariance(h, q, 0.5)
-	// H·Q·Hᴴ = diag(3, 12); + 0.5·H·Hᴴ = diag(0.5, 2) → diag(3.5, 14).
-	if math.Abs(real(cov.At(0, 0))-3.5) > 1e-12 || math.Abs(real(cov.At(1, 1))-14) > 1e-12 {
-		t.Errorf("cov = %v", cov)
-	}
-}
-
 func TestWithoutRxAntenna(t *testing.T) {
 	src := rng.New(7)
 	l := NewLink(src, 3, 4, 1)
@@ -104,17 +81,8 @@ func TestWithoutRxAntenna(t *testing.T) {
 	}
 }
 
-func TestMultiDeploymentEvolveAndString(t *testing.T) {
+func TestDeploymentStringAndBudget(t *testing.T) {
 	src := rng.New(9)
-	dep, err := NewMultiDeployment(src.Split(1), Scenario4x2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := dep.H[0][0].Subcarriers[0].Clone()
-	dep.Evolve(src.Split(2), 0.1, 0.030)
-	if before.Equal(dep.H[0][0].Subcarriers[0], 1e-12) {
-		t.Error("Evolve did not move the channels")
-	}
 	d2 := NewDeployment(src.Split(3), Scenario1x1)
 	if d2.String() == "" {
 		t.Error("empty String()")

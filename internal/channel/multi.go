@@ -96,12 +96,3 @@ func (d *MultiDeployment) Sub(a, b int) *Deployment {
 		InterferenceDBm: [2]float64{d.H[b][a].AverageGainDB() + MaxTxPowerDBm, d.H[a][b].AverageGainDB() + MaxTxPowerDBm},
 	}
 }
-
-// Evolve advances every link by dt seconds at the given coherence time.
-func (d *MultiDeployment) Evolve(src *rng.Source, dt, coherence float64) {
-	for i := range d.H {
-		for j := range d.H[i] {
-			d.H[i][j].Evolve(src.Split(uint64(i*d.Pairs+j)), dt, coherence)
-		}
-	}
-}

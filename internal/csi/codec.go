@@ -278,34 +278,34 @@ func decodeMatrices(data []byte) ([]*linalg.Matrix, error) {
 	if rows == 0 || cols == 0 || nsc == 0 {
 		return nil, ErrCorrupt
 	}
+	// Each antenna pair carries at least an 8-byte anchor and one byte per
+	// further subcarrier. Checking that before allocating keeps a header
+	// alone from claiming a 255×255×65535 series.
+	if int64(buf.Len()) < int64(rows*cols)*(8+int64(nsc)-1) {
+		return nil, ErrCorrupt
+	}
 	ms := make([]*linalg.Matrix, nsc)
 	for k := range ms {
 		ms[k] = linalg.NewMatrix(rows, cols)
 	}
 	for rr := 0; rr < rows; rr++ {
 		for cc := 0; cc < cols; cc++ {
-			var a0, p0 float32
-			if err := binary.Read(buf, binary.LittleEndian, &a0); err != nil {
-				return nil, ErrCorrupt
+			a0, p0, err := readAnchor(buf)
+			if err != nil {
+				return nil, err
 			}
-			if err := binary.Read(buf, binary.LittleEndian, &p0); err != nil {
-				return nil, ErrCorrupt
-			}
-			qa := newAmpQuantizer(float64(a0), levels)
-			qp := newPhaseQuantizer(float64(p0), levels)
-			ms[0].Set(rr, cc, polar(float64(a0), float64(p0)))
+			qa := newAmpQuantizer(a0, levels)
+			qp := newPhaseQuantizer(p0, levels)
+			ms[0].Set(rr, cc, polar(a0, p0))
 			for k := 1; k < int(nsc); k++ {
 				if profile == Profile8 && k%anchorInterval == 0 {
-					var aa, pp float32
-					if err := binary.Read(buf, binary.LittleEndian, &aa); err != nil {
-						return nil, ErrCorrupt
+					aa, pp, err := readAnchor(buf)
+					if err != nil {
+						return nil, err
 					}
-					if err := binary.Read(buf, binary.LittleEndian, &pp); err != nil {
-						return nil, ErrCorrupt
-					}
-					qa = newAmpQuantizer(float64(aa), levels)
-					qp = newPhaseQuantizer(float64(pp), levels)
-					ms[k].Set(rr, cc, polar(float64(aa), float64(pp)))
+					qa = newAmpQuantizer(aa, levels)
+					qp = newPhaseQuantizer(pp, levels)
+					ms[k].Set(rr, cc, polar(aa, pp))
 					continue
 				}
 				if profile == Profile8 {
@@ -332,6 +332,29 @@ func decodeMatrices(data []byte) ([]*linalg.Matrix, error) {
 		}
 	}
 	return ms, nil
+}
+
+// maxPhaseAnchor is the largest phase anchor an encoder writes:
+// float32(π), which rounds above math.Pi.
+const maxPhaseAnchor = float64(float32(math.Pi))
+
+// readAnchor reads one full-precision (amplitude dB, phase) anchor. A
+// non-finite value or a phase beyond ±maxPhaseAnchor is ErrCorrupt: the
+// phase quantizer's wrap loops step by 2π, so a huge anchor would spin
+// them for ages, or forever once subtracting 2π no longer changes it.
+func readAnchor(buf *bytes.Reader) (ampDB, phase float64, err error) {
+	var a, p float32
+	if err := binary.Read(buf, binary.LittleEndian, &a); err != nil {
+		return 0, 0, ErrCorrupt
+	}
+	if err := binary.Read(buf, binary.LittleEndian, &p); err != nil {
+		return 0, 0, ErrCorrupt
+	}
+	ampDB, phase = float64(a), float64(p)
+	if math.IsNaN(ampDB) || math.IsInf(ampDB, 0) || math.IsNaN(phase) || math.Abs(phase) > maxPhaseAnchor {
+		return 0, 0, fmt.Errorf("%w: anchor (%g dB, %g rad) out of range", ErrCorrupt, ampDB, phase)
+	}
+	return ampDB, phase, nil
 }
 
 func polar(ampDB, phase float64) complex128 {

@@ -1,9 +1,14 @@
 package csi
 
 import (
+	"bytes"
+	"compress/flate"
+	"encoding/binary"
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"copa/internal/channel"
 	"copa/internal/linalg"
@@ -104,6 +109,140 @@ func TestDecodeErrors(t *testing.T) {
 	}
 	if _, err := DecodeMatrices(data[:len(data)/3]); err == nil {
 		t.Error("truncated payload should fail")
+	}
+}
+
+// anchorFrame builds a DEFLATEd payload carrying one 1×1 entry over nsc
+// subcarriers, every delta code zero, with anchor(k) written at each
+// anchor position: the frame a peer needs to reach the quantizers with
+// an arbitrary anchor.
+func anchorFrame(tb testing.TB, profile, nsc int, anchor func(k int) (ampDB, phase float32)) []byte {
+	tb.Helper()
+	var raw bytes.Buffer
+	binary.Write(&raw, binary.LittleEndian, uint16(magic))
+	raw.Write([]byte{version, byte(profile), 1, 1})
+	binary.Write(&raw, binary.LittleEndian, uint16(nsc))
+	for k := 0; k < nsc; k++ {
+		switch {
+		case k == 0 || profile == Profile8 && k%anchorInterval == 0:
+			a, p := anchor(k)
+			binary.Write(&raw, binary.LittleEndian, a)
+			binary.Write(&raw, binary.LittleEndian, p)
+		case profile == Profile8:
+			raw.Write([]byte{128, 128})
+		default:
+			raw.WriteByte(0x88)
+		}
+	}
+	return deflated(tb, raw.Bytes())
+}
+
+// deflated compresses a raw payload the way the encoder does.
+func deflated(tb testing.TB, raw []byte) []byte {
+	tb.Helper()
+	var out bytes.Buffer
+	w, err := flate.NewWriter(&out, flate.BestCompression)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := w.Write(raw); err != nil {
+		tb.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// hugePhaseFrame has a phase anchor of 1e30, where subtracting 2π no
+// longer changes the value.
+func hugePhaseFrame(tb testing.TB) []byte {
+	return anchorFrame(tb, Profile4, 2, func(int) (float32, float32) { return 0, 1e30 })
+}
+
+// TestDecodeRejectsOutOfRangeAnchors: a non-finite anchor, or a phase
+// anchor beyond what an encoder writes, is ErrCorrupt on every decoder
+// that reaches the quantizers. Each decode runs under a deadline so a
+// wrap loop that never ends fails the test instead of hanging it.
+func TestDecodeRejectsOutOfRangeAnchors(t *testing.T) {
+	if maxPhaseAnchor <= math.Pi {
+		t.Fatalf("maxPhaseAnchor %v must exceed math.Pi", maxPhaseAnchor)
+	}
+	pi32 := float32(math.Pi)
+	above := math.Nextafter32(pi32, float32(math.Inf(1)))
+	inf := float32(math.Inf(1))
+	nan := float32(math.NaN())
+	first := func(a, p float32) func(int) (float32, float32) {
+		return func(int) (float32, float32) { return a, p }
+	}
+	base := testLink(1, 1, 1).Subcarriers
+	delta, err := EncodeDelta(base, base, 7, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header := delta[:deltaHeaderLen]
+	cases := []struct {
+		name  string
+		frame []byte
+	}{
+		{"huge phase", hugePhaseFrame(t)},
+		{"huge negative phase on a Profile8 re-anchor", anchorFrame(t, Profile8, anchorInterval+1, func(k int) (float32, float32) {
+			if k == anchorInterval {
+				return 0, -1e30
+			}
+			return 0, 0
+		})},
+		{"phase just above float32(pi)", anchorFrame(t, Profile4, 2, first(0, above))},
+		{"infinite phase", anchorFrame(t, Profile4, 2, first(0, inf))},
+		{"NaN phase", anchorFrame(t, Profile4, 2, first(0, nan))},
+		{"infinite amplitude", anchorFrame(t, Profile4, 2, first(inf, 0))},
+		{"NaN amplitude", anchorFrame(t, Profile4, 2, first(nan, 0))},
+	}
+	for _, c := range cases {
+		decoders := map[string]func() error{
+			"DecodeMatrices": func() error { _, err := DecodeMatrices(c.frame); return err },
+			"DecodeLink":     func() error { _, err := DecodeLink(c.frame); return err },
+			"DecodeDelta": func() error {
+				_, _, err := DecodeDelta(append(append([]byte(nil), header...), c.frame...), base, 7)
+				return err
+			},
+		}
+		for name, decode := range decoders {
+			done := make(chan error, 1)
+			go func() { done <- decode() }()
+			select {
+			case err := <-done:
+				if !errors.Is(err, ErrCorrupt) {
+					t.Errorf("%s, %s: err = %v, want ErrCorrupt", c.name, name, err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s, %s: decode did not return within 5 s", c.name, name)
+			}
+		}
+	}
+	// The extreme phases an encoder writes still decode.
+	for _, p := range []float32{pi32, -pi32} {
+		if _, err := DecodeMatrices(anchorFrame(t, Profile8, anchorInterval+1, first(-60, p))); err != nil {
+			t.Errorf("phase anchor %v: %v", p, err)
+		}
+	}
+}
+
+// TestDecodeRejectsUnfilledDimensions: a header alone cannot make the
+// decoder allocate the series it claims (255×255×65535 would be 68 GB).
+func TestDecodeRejectsUnfilledDimensions(t *testing.T) {
+	var raw bytes.Buffer
+	binary.Write(&raw, binary.LittleEndian, uint16(magic))
+	raw.Write([]byte{version, Profile4, 16, 16})
+	binary.Write(&raw, binary.LittleEndian, uint16(4096))
+	frame := deflated(t, raw.Bytes())
+	var err error
+	allocs := testing.AllocsPerRun(5, func() { _, err = DecodeMatrices(frame) })
+	if !errors.Is(err, ErrCorrupt) {
+		t.Errorf("err = %v, want ErrCorrupt", err)
+	}
+	if allocs >= 4096 {
+		t.Errorf("%v allocations decoding a %d-byte frame that claims 4096 subcarriers and carries none", allocs, len(frame))
 	}
 }
 

@@ -6,8 +6,6 @@ import (
 	"copa/internal/rng"
 )
 
-// FuzzDecodeMatrices: arbitrary payloads must fail cleanly or decode into
-// structurally valid matrices — never panic.
 // FuzzDecodeDelta: arbitrary delta frames applied to a fixed base must
 // fail cleanly (ErrCorrupt / ErrStaleEpoch) or reconstruct structurally
 // valid matrices — never panic. Seeds cover the empty frame, a valid
@@ -47,8 +45,13 @@ func FuzzDecodeDelta(f *testing.F) {
 	})
 }
 
+// FuzzDecodeMatrices: arbitrary payloads must fail cleanly or decode into
+// structurally valid matrices — never panic, never hang. Seeds cover the
+// empty payload, a valid and a bit-flipped link, and a phase anchor of
+// 1e30 that once spun the quantizer's wrap loop forever.
 func FuzzDecodeMatrices(f *testing.F) {
 	f.Add([]byte{})
+	f.Add(hugePhaseFrame(f))
 	l := testLink(1, 2, 4)
 	good, err := EncodeLink(l)
 	if err != nil {

@@ -34,9 +34,6 @@ var (
 	Vehicular  = Profile{Name: "vehicular", SpeedMps: 13.9}
 )
 
-// Profiles lists the named profiles in increasing speed order.
-func Profiles() []Profile { return []Profile{Static, Pedestrian, Vehicular} }
-
 // DopplerHz returns the maximum Doppler shift f_d = v·f_c/c at the
 // simulation's carrier frequency.
 func DopplerHz(speedMps float64) float64 {

@@ -37,9 +37,6 @@ func NewModel(dep *channel.Deployment, speedMps float64, seed int64) *Model {
 	return &Model{Dep: dep, SpeedMps: speedMps, seed: seed}
 }
 
-// Step returns the number of Advance calls performed so far.
-func (m *Model) Step() int64 { return m.step }
-
 // Advance evolves all five links (four AP→client channels plus the
 // AP↔AP control link) by one dt step at the model's speed. At speed 0
 // the links are untouched — EvolveRho(ρ=1) is a strict no-op — but the

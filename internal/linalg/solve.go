@@ -206,24 +206,3 @@ func (m *Matrix) Cholesky() (*Matrix, error) {
 	}
 	return l, nil
 }
-
-// PseudoInverse returns the Moore–Penrose pseudo-inverse of m, computed via
-// the SVD, discarding singular values below tol relative to the largest.
-func (m *Matrix) PseudoInverse(tol float64) *Matrix {
-	var ws Workspace
-	u, s, v := m.SVDWS(&ws)
-	// pinv = V · Σ⁺ · Uᴴ
-	var smax float64
-	for _, sv := range s {
-		if sv > smax {
-			smax = sv
-		}
-	}
-	sinv := ws.Matrix(m.Cols, m.Rows) // Σ⁺ has the transposed shape of Σ
-	for i, sv := range s {
-		if smax > 0 && sv > tol*smax {
-			sinv.Set(i, i, complex(1/sv, 0))
-		}
-	}
-	return ws.Mul(ws.Mul(v, sinv), ws.H(u)).Clone()
-}

@@ -206,25 +206,6 @@ func TestSolveSingular(t *testing.T) {
 	}
 }
 
-func TestPseudoInverse(t *testing.T) {
-	r := rand.New(rand.NewSource(17))
-	// Tall full-column-rank: A⁺·A = I.
-	a := randomMatrix(r, 4, 2)
-	pinv := a.PseudoInverse(1e-12)
-	if pinv.Rows != 2 || pinv.Cols != 4 {
-		t.Fatalf("pinv shape %dx%d", pinv.Rows, pinv.Cols)
-	}
-	if !pinv.Mul(a).IsIdentity(1e-8) {
-		t.Error("A⁺·A != I for tall full-rank A")
-	}
-	// Rank-deficient: A·A⁺·A = A (Moore–Penrose condition 1).
-	b := FromRows([][]complex128{{1, 1}, {1, 1}})
-	bp := b.PseudoInverse(1e-10)
-	if !b.Mul(bp).Mul(b).Equal(b, 1e-8) {
-		t.Error("A·A⁺·A != A for rank-deficient A")
-	}
-}
-
 func TestQuickInverseRoundTrip(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 80}
 	f := func(seed int64) bool {

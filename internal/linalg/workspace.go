@@ -1,7 +1,7 @@
 package linalg
 
 // Workspace is a bump-allocator arena for the scratch and result storage
-// of the *WS kernel variants (EigHermitianWS, SVDWS, QRWS, SolveWS,
+// of the *WS kernel variants (EigHermitianWS, SVDWS, SolveWS,
 // NullspaceWS). Memory is carved from chunks that persist across Reset,
 // so a workspace that has warmed up to the high-water mark of a workload
 // serves every subsequent call without touching the Go allocator.
@@ -23,7 +23,6 @@ type Workspace struct {
 	cx chunked[complex128]
 	fl chunked[float64]
 	in chunked[int]
-	bo chunked[bool]
 	fr chunked[[]float64]
 	mh chunked[Matrix]
 	mp chunked[*Matrix]
@@ -36,7 +35,6 @@ func (w *Workspace) Reset() {
 	w.cx.reset()
 	w.fl.reset()
 	w.in.reset()
-	w.bo.reset()
 	w.fr.reset()
 	w.mh.reset()
 	w.mp.reset()
@@ -91,9 +89,6 @@ func (w *Workspace) Float64s(n int) []float64 { return w.fl.take(n, 128, 8192) }
 
 // Ints carves a zeroed []int of length n from the arena.
 func (w *Workspace) Ints(n int) []int { return w.in.take(n, 64, 2048) }
-
-// Bools carves a zeroed []bool of length n from the arena.
-func (w *Workspace) Bools(n int) []bool { return w.bo.take(n, 64, 2048) }
 
 // MatrixPtrs carves a zeroed []*Matrix of length n from the arena; the
 // batched precoding paths use it to hold per-subcarrier matrix lists

@@ -25,7 +25,6 @@ func TestWorkspaceKernelAllocBudgets(t *testing.T) {
 	}{
 		{"EigHermitianWS", func(ws *Workspace) { herm.EigHermitianWS(ws) }},
 		{"SVDWS", func(ws *Workspace) { tall.SVDWS(ws) }},
-		{"QRWS", func(ws *Workspace) { tall.QRWS(ws) }},
 		{"SolveWS", func(ws *Workspace) {
 			if _, err := herm.SolveWS(ws, rhs); err != nil {
 				t.Fatalf("SolveWS: %v", err)

@@ -67,34 +67,3 @@ func uncodedBER(mp *modParams, sinr float64) float64 {
 // Modulation returns m itself; it exists so UncodedBER can be written
 // uniformly over Modulation values (M-QAM needs bits-per-symbol).
 func (m Modulation) Modulation() Modulation { return m }
-
-// SINRForBER inverts UncodedBER: the linear SINR at which the constellation
-// reaches the target raw BER. Computed by bisection; used by power
-// allocators that place subcarriers at an SINR operating point.
-func SINRForBER(m Modulation, targetBER float64) float64 {
-	if targetBER >= 0.5 {
-		return 0
-	}
-	lo, hi := 0.0, 1e9
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if UncodedBER(m, mid) > targetBER {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}
-
-// ShannonCapacityBps returns the aggregate Shannon capacity (bits/s) of a
-// set of per-subcarrier linear SINRs, as a reference upper bound.
-func ShannonCapacityBps(sinrs []float64) float64 {
-	var bits float64
-	for _, s := range sinrs {
-		if s > 0 {
-			bits += math.Log2(1 + s)
-		}
-	}
-	return bits / SymbolDuration.Seconds()
-}

@@ -133,43 +133,3 @@ var mcsTable = []MCS{
 	{6, QAM64, R34}, // 58.5 Mb/s
 	{7, QAM64, R56}, // 65 Mb/s
 }
-
-// HTMCS is a high-throughput MCS index covering multiple equal-modulation
-// spatial streams: index = 8·(streams−1) + singleStreamIndex, as in the
-// 802.11n HT table (MCS 0–31).
-type HTMCS struct {
-	Index   int
-	Streams int
-	// PerStream is the underlying single-stream scheme applied to every
-	// stream (802.11n equal modulation).
-	PerStream MCS
-}
-
-// DataRateBps is the aggregate PHY rate across all streams.
-func (h HTMCS) DataRateBps() float64 {
-	return float64(h.Streams) * h.PerStream.DataRateBps()
-}
-
-// String renders e.g. "MCS12 (2x 16-QAM 3/4)".
-func (h HTMCS) String() string {
-	return fmt.Sprintf("MCS%d (%dx %s %s)", h.Index, h.Streams,
-		h.PerStream.Modulation, h.PerStream.CodeRate)
-}
-
-// HTTable returns the 802.11n HT MCS entries for 1..maxStreams spatial
-// streams (equal modulation only, as the standard's basic set).
-func HTTable(maxStreams int) []HTMCS {
-	if maxStreams < 1 {
-		maxStreams = 1
-	}
-	if maxStreams > 4 {
-		maxStreams = 4
-	}
-	var out []HTMCS
-	for ns := 1; ns <= maxStreams; ns++ {
-		for _, m := range Table() {
-			out = append(out, HTMCS{Index: 8*(ns-1) + m.Index, Streams: ns, PerStream: m})
-		}
-	}
-	return out
-}

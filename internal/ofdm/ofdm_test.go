@@ -96,21 +96,6 @@ func TestUncodedBERKnownPoints(t *testing.T) {
 	}
 }
 
-func TestSINRForBERInverts(t *testing.T) {
-	for _, m := range []Modulation{BPSK, QPSK, QAM16, QAM64} {
-		for _, target := range []float64{1e-2, 1e-4, 1e-6} {
-			s := SINRForBER(m, target)
-			got := UncodedBER(m, s)
-			if math.Abs(math.Log10(got)-math.Log10(target)) > 0.05 {
-				t.Errorf("%v target %g: SINR %g gives BER %g", m, target, s, got)
-			}
-		}
-	}
-	if SINRForBER(BPSK, 0.5) != 0 {
-		t.Error("SINRForBER(0.5) should be 0")
-	}
-}
-
 func TestCodedBERProperties(t *testing.T) {
 	for _, r := range []CodeRate{R12, R23, R34, R56} {
 		if got := CodedBER(r, 0); got != 0 {
@@ -290,24 +275,6 @@ func TestQuickGoodputMonotone(t *testing.T) {
 	}
 }
 
-func TestShannonCapacity(t *testing.T) {
-	// One subcarrier at SINR 1 → 1 bit per 4 µs symbol = 250 kb/s.
-	got := ShannonCapacityBps([]float64{1})
-	if math.Abs(got-250e3) > 1 {
-		t.Errorf("Shannon(0 dB, 1 sc) = %g, want 250e3", got)
-	}
-	if ShannonCapacityBps([]float64{-1, 0}) != 0 {
-		t.Error("non-positive SINRs should contribute 0")
-	}
-}
-
-func TestSumGoodput(t *testing.T) {
-	rates := []StreamRate{{GoodputBps: 1e6}, {GoodputBps: 2e6}}
-	if got := SumGoodput(rates); got != 3e6 {
-		t.Errorf("SumGoodput = %g", got)
-	}
-}
-
 func BenchmarkBestRate(b *testing.B) {
 	sinrs := make([]float64, NumSubcarriers)
 	for i := range sinrs {
@@ -317,27 +284,5 @@ func BenchmarkBestRate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		BestRate(sinrs)
-	}
-}
-
-func TestHTTable(t *testing.T) {
-	tbl := HTTable(2)
-	if len(tbl) != 16 {
-		t.Fatalf("%d entries, want 16", len(tbl))
-	}
-	// MCS15 = 2 streams of 64-QAM 5/6 = 130 Mb/s, the paper's 4x2 peak.
-	m15 := tbl[15]
-	if m15.Index != 15 || m15.Streams != 2 {
-		t.Fatalf("entry 15: %+v", m15)
-	}
-	if math.Abs(m15.DataRateBps()-130e6) > 1 {
-		t.Errorf("MCS15 rate %.1f Mb/s, want 130", m15.DataRateBps()/1e6)
-	}
-	if m15.String() != "MCS15 (2x 64-QAM 5/6)" {
-		t.Errorf("string: %s", m15.String())
-	}
-	// Clamps.
-	if len(HTTable(0)) != 8 || len(HTTable(9)) != 32 {
-		t.Error("stream clamping wrong")
 	}
 }

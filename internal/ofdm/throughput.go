@@ -148,15 +148,6 @@ func MultiDecoderThroughputBps(sinrs []float64) float64 {
 	return total
 }
 
-// SumGoodput adds the goodput of multiple streams.
-func SumGoodput(rates []StreamRate) float64 {
-	var t float64
-	for _, r := range rates {
-		t += r.GoodputBps
-	}
-	return t
-}
-
 // JointRate is the outcome of rate selection for a whole multi-stream
 // transmission under 802.11n's equal-modulation constraint: one MCS and
 // one convolutional decoder span every spatial stream and subcarrier, so

@@ -6,9 +6,36 @@ import (
 	"testing"
 
 	"copa/internal/channel"
+	"copa/internal/linalg"
 	"copa/internal/ofdm"
 	"copa/internal/rng"
 )
+
+// Omni returns a rank-1 "omnidirectional" precoder that drives only the
+// first antenna — the spatial profile of ITS control frames and of
+// single-antenna senders.
+func Omni(nTx, subcarriers int) *Precoder {
+	p := &Precoder{Streams: 1, PerSubcarrier: make([]*linalg.Matrix, subcarriers)}
+	for k := range p.PerSubcarrier {
+		m := linalg.NewMatrix(nTx, 1)
+		m.Set(0, 0, 1)
+		p.PerSubcarrier[k] = m
+	}
+	return p
+}
+
+// Verify checks precoder invariants: orthonormal columns on every
+// subcarrier. Returns the worst deviation found.
+func (p *Precoder) Verify() float64 {
+	worst := 0.0
+	for _, m := range p.PerSubcarrier {
+		g := m.H().Mul(m).Sub(linalg.Identity(m.Cols))
+		if d := g.MaxAbs(); d > worst {
+			worst = d
+		}
+	}
+	return worst
+}
 
 func testLink(seed int64, nRx, nTx int, gainDB float64) *channel.Link {
 	return channel.NewLink(rng.New(seed), nRx, nTx, channel.DBToLinear(gainDB))

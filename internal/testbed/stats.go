@@ -77,17 +77,3 @@ func CDF(xs []float64) []CDFPoint {
 	}
 	return out
 }
-
-// FractionWhere counts the fraction of indices where pred holds.
-func FractionWhere(n int, pred func(i int) bool) float64 {
-	if n == 0 {
-		return 0
-	}
-	c := 0
-	for i := 0; i < n; i++ {
-		if pred(i) {
-			c++
-		}
-	}
-	return float64(c) / float64(n)
-}

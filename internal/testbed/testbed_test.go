@@ -72,15 +72,6 @@ func TestQuickPercentileMonotone(t *testing.T) {
 	}
 }
 
-func TestFractionWhere(t *testing.T) {
-	if FractionWhere(4, func(i int) bool { return i%2 == 0 }) != 0.5 {
-		t.Error("fraction")
-	}
-	if FractionWhere(0, func(int) bool { return true }) != 0 {
-		t.Error("empty fraction")
-	}
-}
-
 func TestRunScenarioSmoke4x2(t *testing.T) {
 	cfg := DefaultConfig(3)
 	cfg.Topologies = 6
