@@ -114,11 +114,12 @@ drift-smoke:
 	$(GO) test -race -run 'TestIncrementalReallocSpeedup' -v .
 	$(GO) run ./cmd/copacampaign -mobility -topologies 2 -duration 60ms -drift-thresholds 1 -q
 
-# fuzz campaigns the wire-format parsers and the campaign checkpoint
-# reader. go test accepts one -fuzz target per invocation, so each
-# package:target pair runs in turn; every target runs even after one
-# fails, the failures are listed, and the exit status is non-zero if any
-# failed. FUZZTIME=2m make fuzz for a longer run.
+# fuzz campaigns the wire-format parsers, the request-path parsers
+# (allocate JSON bodies, traceparent headers) and the campaign
+# checkpoint reader. go test accepts one -fuzz target per invocation,
+# so each package:target pair runs in turn; every target runs even
+# after one fails, the failures are listed, and the exit status is
+# non-zero if any failed. FUZZTIME=2m make fuzz for a longer run.
 fuzz:
 	@failed=; \
 	for t in \
@@ -129,7 +130,9 @@ fuzz:
 		./internal/csi:FuzzDecodeDelta \
 		./internal/campaign:FuzzLoadJournal \
 		./internal/api:FuzzDecodeRequestBinary \
-		./internal/api:FuzzDecodeResponseBinary; \
+		./internal/api:FuzzDecodeResponseBinary \
+		./internal/api:FuzzParseRequestJSON \
+		./internal/obs:FuzzParseTraceparent; \
 	do \
 		pkg=$${t%%:*}; name=$${t##*:}; \
 		echo "fuzz: $$name ($$pkg)"; \

@@ -1,5 +1,5 @@
 // Command copaserve is the allocation-as-a-service daemon: an HTTP/JSON
-// front end over the pooled, batching, caching evaluator in
+// front end over the pooled, caching evaluator in
 // internal/serve. Clients name a deterministic world — scenario, seed,
 // impairment profile, CSI age — and get back every strategy's evaluated
 // outcome plus the COPA selection, computed once and cached.
@@ -39,7 +39,6 @@ func run(args []string, out *os.File) int {
 	listen := fs.String("listen", "127.0.0.1:7800", "HTTP host:port to serve on (\":0\" picks a port)")
 	workers := fs.Int("workers", def.Workers, "evaluator pool size (one reusable workspace per worker)")
 	queue := fs.Int("queue", def.QueueDepth, "admission queue depth; a full queue sheds requests with 503")
-	batchWindow := fs.Duration("batch-window", def.BatchWindow, "how long a worker waits to coalesce queued requests into a batch (negative: no waiting)")
 	cacheEntries := fs.Int("cache-entries", def.CacheEntries, "result cache bound in entries (negative disables caching)")
 	deadline := fs.Duration("deadline", def.DefaultDeadline, "default per-request deadline")
 	drainTimeout := fs.Duration("drain-timeout", def.DrainTimeout, "how long shutdown waits for in-flight requests")
@@ -59,7 +58,6 @@ func run(args []string, out *os.File) int {
 	cfg := def
 	cfg.Workers = *workers
 	cfg.QueueDepth = *queue
-	cfg.BatchWindow = *batchWindow
 	cfg.CacheEntries = *cacheEntries
 	cfg.DefaultDeadline = *deadline
 	cfg.DrainTimeout = *drainTimeout

@@ -182,7 +182,7 @@ func TestLoadMixedHitsAndMisses(t *testing.T) {
 // HTTP surface and checks both the status code and the metric.
 func TestQueueFullReturns503(t *testing.T) {
 	srv := serve.New(serve.Config{
-		Workers: 1, QueueDepth: 1, MaxBatch: 1, CacheEntries: -1,
+		Workers: 1, QueueDepth: 1, CacheEntries: -1,
 		// Deterministic slow blocker: stall 4x2 evaluations so the
 		// burst below reliably finds the queue occupied.
 		EvalHook: func(r serve.Request) {

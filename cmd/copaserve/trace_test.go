@@ -14,7 +14,7 @@ import (
 
 // TestAllocateTraceCompleteness is the tracing acceptance test: one
 // cache-miss /v1/allocate yields one trace whose stage spans — cache,
-// admission, queue, batch, evaluate — are all children of the request
+// admission, queue, evaluate — are all children of the request
 // span and sum (within scheduling tolerance) to its duration.
 func TestAllocateTraceCompleteness(t *testing.T) {
 	srv := serve.New(serve.Config{Workers: 2})
@@ -67,7 +67,7 @@ func TestAllocateTraceCompleteness(t *testing.T) {
 		t.Fatalf("serve.allocate parented to %q, want %q", alloc.Parent, root.ID)
 	}
 
-	stages := []string{"serve.cache", "serve.admission", "serve.queue", "serve.batch", "serve.evaluate"}
+	stages := []string{"serve.cache", "serve.admission", "serve.queue", "serve.evaluate"}
 	var sum time.Duration
 	for _, name := range stages {
 		s, ok := byName[name]

@@ -336,10 +336,10 @@ func SetVerbose(on bool) { obs.SetVerbose(on) }
 // Serving layer: allocation-as-a-service on top of the evaluator
 // (cmd/copaserve is the HTTP daemon built on this API).
 type (
-	// Server is a pooled, batching, caching allocation service with
+	// Server is a pooled, caching allocation service with
 	// admission control and graceful drain (see internal/serve).
 	Server = serve.Server
-	// ServerConfig sizes the worker pool, queue, batch window and cache.
+	// ServerConfig sizes the worker pool, queue and cache.
 	ServerConfig = serve.Config
 	// AllocateRequest names the world to evaluate: scenario, seed, mode,
 	// impairments and CSI age.
@@ -365,7 +365,7 @@ var (
 func NewServer(cfg ServerConfig) *Server { return serve.New(cfg) }
 
 // DefaultServerConfig returns the serving defaults: one worker per CPU,
-// a 64-deep queue, a 200µs batch window and a 1024-entry result cache.
+// a 64-deep queue and a 1024-entry result cache.
 func DefaultServerConfig() ServerConfig { return serve.DefaultConfig() }
 
 // Mobility subsystem (DESIGN §14): time-evolving channels plus the

@@ -142,3 +142,43 @@ func TestHealthzExposesCacheStats(t *testing.T) {
 		t.Errorf("cache occupancy not populated: %+v", hz.Cache)
 	}
 }
+
+// FuzzParseRequestJSON: no JSON body panics the request parser, and a
+// body that parses re-encodes to one that parses to the same
+// serve.Request and the same shard key.
+func FuzzParseRequestJSON(f *testing.F) {
+	f.Add([]byte(`{"scenario":"4x2","seed":7,"mode":"fair"}`))
+	f.Add([]byte(`{"scenario":"1x1","seed":-3,"impairments":"perfect","csi_age_ms":25,"multi_decoder":true}`))
+	f.Add([]byte(`{"scenario":"3x2","seed":1,"mode":"max","session":true,"time_ms":1234.5}`))
+	f.Add([]byte(`{"scenario":"4x2","time_ms":3}`))
+	f.Add([]byte(`{}`))
+	f.Add([]byte{})
+	parse := func(body []byte) (AllocateRequest, serve.Request, error) {
+		ar, err := DecodeRequestBody(ContentTypeJSON, body)
+		if err != nil {
+			return ar, serve.Request{}, err
+		}
+		req, err := ParseRequest(ar)
+		return ar, req, err
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		ar, req, err := parse(body)
+		if err != nil {
+			return
+		}
+		enc, err := json.Marshal(ar)
+		if err != nil {
+			t.Fatalf("parsed request %+v does not re-encode: %v", ar, err)
+		}
+		_, back, err := parse(enc)
+		if err != nil {
+			t.Fatalf("re-encoded body %s rejected: %v", enc, err)
+		}
+		if back != req {
+			t.Fatalf("round trip changed the request: %+v -> %+v", req, back)
+		}
+		if a, b := serve.ShardKey(req, 0), serve.ShardKey(back, 0); a != b {
+			t.Fatalf("round trip changed the shard key: %q -> %q", a, b)
+		}
+	})
+}

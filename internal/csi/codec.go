@@ -38,6 +38,14 @@ const (
 	// anchorInterval is the Profile8 re-anchoring period.
 	anchorInterval = 13
 
+	// maxRawBytes caps the inflated payload a decoder reads. The largest
+	// series a supported scenario sends is a 4×2 Profile8 precoder over
+	// 52 subcarriers, about 1 KiB inflated, and even a 16×16 one stays
+	// under 33 KiB, so no valid frame comes near the cap; a frame that
+	// inflates past it is ErrCorrupt instead of costing the decoder
+	// whatever the sender compressed.
+	maxRawBytes = 64 << 10
+
 	// ampFloorDB clamps log-amplitudes of (near-)zero entries.
 	ampFloorDB = -140.0
 
@@ -246,9 +254,12 @@ func DecodeMatrices(data []byte) ([]*linalg.Matrix, error) {
 func decodeMatrices(data []byte) ([]*linalg.Matrix, error) {
 	r := flate.NewReader(bytes.NewReader(data))
 	defer r.Close()
-	raw, err := io.ReadAll(r)
+	raw, err := io.ReadAll(io.LimitReader(r, maxRawBytes+1))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	if len(raw) > maxRawBytes {
+		return nil, fmt.Errorf("%w: payload inflates past %d bytes", ErrCorrupt, maxRawBytes)
 	}
 	buf := bytes.NewReader(raw)
 	var mg uint16

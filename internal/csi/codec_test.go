@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -152,6 +153,54 @@ func deflated(tb testing.TB, raw []byte) []byte {
 		tb.Fatal(err)
 	}
 	return out.Bytes()
+}
+
+// zerosFrame is 64 MiB of zeros, deflated: a 64 KB frame that inflates
+// a thousandfold.
+func zerosFrame(tb testing.TB) []byte {
+	tb.Helper()
+	var out bytes.Buffer
+	w, err := flate.NewWriter(&out, flate.BestCompression)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	zeros := make([]byte, 1<<20)
+	for range 64 {
+		if _, err := w.Write(zeros); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// TestDecodeBoundsInflatedSize: a frame that inflates past maxRawBytes
+// is ErrCorrupt, and the decoder stops inflating at the cap instead of
+// allocating whatever the sender compressed. The largest series a
+// supported scenario sends (4 antennas a side, Profile8) still decodes.
+func TestDecodeBoundsInflatedSize(t *testing.T) {
+	frame := zerosFrame(t)
+	const bound = 1 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeMatrices(frame)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Errorf("err = %v, want ErrCorrupt", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > bound {
+		t.Errorf("decoding a %d-byte frame allocated %d bytes, bound %d", len(frame), n, bound)
+	}
+
+	largest, err := EncodePrecoder(testLink(5, 4, 4).Subcarriers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeMatrices(largest); err != nil {
+		t.Errorf("4x4 Profile8 series: %v", err)
+	}
 }
 
 // hugePhaseFrame has a phase anchor of 1e30, where subtracting 2π no

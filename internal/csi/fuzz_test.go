@@ -47,11 +47,13 @@ func FuzzDecodeDelta(f *testing.F) {
 
 // FuzzDecodeMatrices: arbitrary payloads must fail cleanly or decode into
 // structurally valid matrices — never panic, never hang. Seeds cover the
-// empty payload, a valid and a bit-flipped link, and a phase anchor of
-// 1e30 that once spun the quantizer's wrap loop forever.
+// empty payload, a valid and a bit-flipped link, a phase anchor of 1e30
+// that once spun the quantizer's wrap loop forever, and 64 MiB of
+// deflated zeros that once inflated in full before any check.
 func FuzzDecodeMatrices(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(hugePhaseFrame(f))
+	f.Add(zerosFrame(f))
 	l := testLink(1, 2, 4)
 	good, err := EncodeLink(l)
 	if err != nil {

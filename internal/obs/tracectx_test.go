@@ -330,3 +330,32 @@ func TestHierarchicalSpanStress(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseTraceparent: no header value panics the parser, and a
+// context that parses renders back through Traceparent to itself, or
+// to "" when it is unsampled.
+func FuzzParseTraceparent(f *testing.F) {
+	const tp = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
+	f.Add(tp)
+	f.Add(tp[:53] + "00")
+	f.Add("00-4BF92F3577B34DA6A3CE929D0E0E4736-00F067AA0BA902B7-03")
+	f.Add("00-00000000000000000000000000000000-00f067aa0ba902b7-01")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, v string) {
+		sc, ok := ParseTraceparent(v)
+		if !ok {
+			return
+		}
+		out := sc.Traceparent()
+		if !sc.Sampled {
+			if out != "" {
+				t.Fatalf("unsampled context %+v rendered %q", sc, out)
+			}
+			return
+		}
+		back, ok := ParseTraceparent(out)
+		if !ok || back != sc {
+			t.Fatalf("%q parsed to %+v, rendered %q, re-parsed to %+v (ok=%v)", v, sc, out, back, ok)
+		}
+	})
+}

@@ -1,8 +1,10 @@
 // Package router is copaserve's sharded front tier: an HTTP reverse
 // proxy that consistent-hashes each allocation request's full cache
-// identity (serve.ShardKey — scenario, seed, mode, impairments, CSI
-// age bucket/epoch) across N copaserve backends, so the backend pool's
-// LRU result caches shard the key space instead of each duplicating it.
+// identity (serve.ShardKey — scenario, seed, impairments, CSI age
+// bucket/epoch, decoder flag; not the selection mode, so both modes of
+// a world reach one backend) across N copaserve backends, so the
+// backend pool's LRU result caches shard the key space instead of each
+// duplicating it.
 //
 // Three mechanisms turn the hash ring into a serving tier (DESIGN
 // §15):

@@ -26,10 +26,11 @@ type lruCache struct {
 	evictions uint64
 }
 
-// lruEntry is one cached result with its key for reverse eviction.
+// lruEntry is one cached world's results with its key for reverse
+// eviction.
 type lruEntry struct {
 	k   key
-	res *Result
+	res *results
 }
 
 // newLRUCache returns a cache bounded to max entries; max < 0 disables
@@ -41,8 +42,8 @@ func newLRUCache(max int) *lruCache {
 	return &lruCache{max: max, ll: list.New(), items: make(map[key]*list.Element)}
 }
 
-// get returns the cached result for k, refreshing its recency.
-func (c *lruCache) get(k key) (*Result, bool) {
+// get returns the cached results for k, refreshing its recency.
+func (c *lruCache) get(k key) (*results, bool) {
 	e, ok := c.items[k]
 	if !ok {
 		c.misses++
@@ -57,7 +58,7 @@ func (c *lruCache) get(k key) (*Result, bool) {
 
 // put inserts or refreshes k, evicting the least recently used entry
 // when the bound is exceeded.
-func (c *lruCache) put(k key, res *Result) {
+func (c *lruCache) put(k key, res *results) {
 	if c.max == 0 {
 		return
 	}
@@ -77,9 +78,6 @@ func (c *lruCache) put(k key, res *Result) {
 	}
 	gCacheEntries.Set(float64(len(c.items)))
 }
-
-// len returns the number of cached entries.
-func (c *lruCache) len() int { return len(c.items) }
 
 // CacheStats is one cache's cumulative and point-in-time reading —
 // the per-shard numbers a fronting router observes shard balance with.

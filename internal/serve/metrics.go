@@ -34,10 +34,7 @@ var (
 	mShedClosed    = obs.C("copa.serve.shed_closed")
 
 	// Evaluator pool behaviour.
-	mBatches         = obs.C("copa.serve.batches")
 	mQueueSeconds    = obs.T("copa.serve.queue_seconds")
-	mBatchSize       = obs.H("copa.serve.batch_size", obs.LinearBuckets(1, 1, 16))
-	mBatchShared     = obs.C("copa.serve.batch_shared_evals")
 	mEvaluateSeconds = obs.T("copa.serve.evaluate_seconds")
 	mEvaluateErrors  = obs.C("copa.serve.evaluate_errors")
 	mQueueDepth      = obs.G("copa.serve.queue_depth")

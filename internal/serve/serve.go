@@ -2,16 +2,16 @@
 // allocation-as-a-service layer: callers submit (scenario, seed, mode,
 // impairments, CSI age) requests and receive the strategy COPA's leader
 // would pick, with the heavy EvaluateAll pass behind a fixed evaluator
-// worker pool, request batching, a bounded LRU result cache with
-// in-flight deduplication, and load-shedding admission control.
+// worker pool, a bounded LRU result cache with in-flight deduplication,
+// and load-shedding admission control.
 //
 // The design follows DESIGN §8's one-workspace-per-goroutine rule: each
 // worker owns one precoding.Workspace arena for its whole lifetime and
 // hands it to every evaluator it constructs, so steady-state serving
-// does not regrow arena chunks. Requests that arrive within the batch
-// window are coalesced per worker and grouped by their evaluation world
-// — two requests that differ only in selection mode (max vs fair) share
-// a single EvaluateAll pass.
+// does not regrow arena chunks. The cache and the in-flight table are
+// keyed by the evaluated world alone: a world is evaluated once and
+// both selection modes are answered from that one EvaluateAll pass, so
+// a max and a fair request for the same world never evaluate twice.
 //
 // Admission is a bounded queue: when it is full the request is shed
 // immediately with ErrQueueFull (the HTTP front end maps this to 503),
@@ -59,13 +59,6 @@ type Config struct {
 	// QueueDepth bounds the admission queue; a full queue sheds with
 	// ErrQueueFull (default 64).
 	QueueDepth int
-	// BatchWindow is how long a worker waits for additional requests to
-	// coalesce into a batch after picking up the first (default 200µs;
-	// negative disables waiting — only already-queued requests coalesce).
-	BatchWindow time.Duration
-	// MaxBatch caps how many requests one worker coalesces per batch
-	// (default 16; 1 disables batching).
-	MaxBatch int
 	// CacheEntries bounds the LRU result cache (default 1024; negative
 	// disables caching).
 	CacheEntries int
@@ -90,8 +83,6 @@ func DefaultConfig() Config {
 	return Config{
 		Workers:         runtime.GOMAXPROCS(0),
 		QueueDepth:      64,
-		BatchWindow:     200 * time.Microsecond,
-		MaxBatch:        16,
 		CacheEntries:    1024,
 		DefaultDeadline: 2 * time.Second,
 		DrainTimeout:    5 * time.Second,
@@ -108,12 +99,6 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = d.QueueDepth
 	}
-	if c.BatchWindow == 0 {
-		c.BatchWindow = d.BatchWindow
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = d.MaxBatch
-	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = d.CacheEntries
 	}
@@ -129,9 +114,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Request identifies one allocation computation. Every field is part of
-// the result-cache key (CSIAge after bucketing), so two Requests that
-// compare equal after bucketing share one evaluation.
+// Request identifies one allocation computation. Every field but Mode
+// names the evaluated world and is part of the result-cache key (CSIAge
+// after bucketing), so two Requests that agree on those fields share
+// one evaluation and one cache entry, whatever their modes.
 type Request struct {
 	// Scenario is the antenna configuration to evaluate.
 	Scenario channel.Scenario
@@ -205,41 +191,41 @@ func agedImpairments(imp channel.Impairments, bucket int) channel.Impairments {
 	return imp.AgedForBucket(bucket, AgeBuckets)
 }
 
-// key is the full result-cache identity of a request: everything that
-// changes the answer, with the session time already normalized into
-// (epoch, ageBucket). It is a comparable value type so cache lookups
+// key is the identity of an evaluated world: everything that changes
+// the outcomes, with the session time already normalized into (epoch,
+// ageBucket). The selection mode is not part of it — one evaluation
+// answers both modes. It is a comparable value type so cache lookups
 // allocate nothing.
 type key struct {
 	scenario  channel.Scenario
 	seed      int64
-	mode      strategy.Mode
 	imp       channel.Impairments
 	ageBucket int
 	epoch     int64
 	multi     bool
 }
 
-// evalKey is the evaluation identity: key minus the selection mode.
-// Calls sharing an evalKey share one EvaluateAll pass.
-type evalKey struct {
-	scenario  channel.Scenario
-	seed      int64
-	imp       channel.Impairments
-	ageBucket int
-	epoch     int64
-	multi     bool
+// results is one evaluated world's answer under each selection mode,
+// indexed by slot. Both are built in one allocation when the world is
+// evaluated, so a cache hit for either mode stays allocation-free.
+type results [2]Result
+
+// slot maps a selection mode to its results index the way
+// strategy.Select reads the mode: ModeFair is the fair answer, any
+// other value the max-throughput one.
+func slot(m strategy.Mode) int {
+	if m == strategy.ModeFair {
+		return 1
+	}
+	return 0
 }
 
-func (k key) eval() evalKey {
-	return evalKey{scenario: k.scenario, seed: k.seed, imp: k.imp, ageBucket: k.ageBucket, epoch: k.epoch, multi: k.multi}
-}
-
-// flight is one in-flight computation identical concurrent requests
-// wait on instead of recomputing (singleflight). res/err are published
-// before done is closed.
+// flight is one in-flight world evaluation that concurrent requests for
+// the same world, in either mode, wait on instead of recomputing
+// (singleflight). res/err are published before done is closed.
 type flight struct {
 	done chan struct{}
-	res  *Result
+	res  *results
 	err  error
 }
 
@@ -252,9 +238,9 @@ type call struct {
 	enqueued time.Time
 	// ctx carries the request's trace identity (never its cancellation —
 	// abandoned flights still complete). stage is the currently-open
-	// pipeline-stage span: serve.queue while queued, serve.batch during
-	// batch assembly, serve.evaluate during evaluation. It is nil for
-	// untraced requests; every transition is nil-safe.
+	// pipeline-stage span: serve.queue while queued, serve.evaluate
+	// during evaluation. It is nil for untraced requests; every
+	// transition is nil-safe.
 	ctx   context.Context
 	stage *obs.ActiveSpan
 }
@@ -293,7 +279,7 @@ func New(cfg Config) *Server {
 }
 
 // keyFor normalizes a request into its cache key. This is the only
-// place the (epoch, bucket) pair is computed — runGroup and
+// place the (epoch, bucket) pair is computed — evaluate and
 // evaluateWorld read it back from the key, so one request can never see
 // two different bucketings of the same age (the pre-session bug was
 // exactly that: each stage re-derived the bucket from the raw age, and a
@@ -304,7 +290,6 @@ func (s *Server) keyFor(req Request) key {
 	return key{
 		scenario:  req.Scenario,
 		seed:      req.Seed,
-		mode:      req.Mode,
 		imp:       req.Impairments,
 		ageBucket: bucket,
 		epoch:     epoch,
@@ -340,14 +325,14 @@ func validUntil(epoch int64, bucket int, coherence time.Duration) time.Duration 
 	return time.Duration(epoch)*coherence + channel.BucketStart(bucket+1, coherence, AgeBuckets)
 }
 
-// ShardKey renders req's full result-cache identity — every field of
-// the internal cache key, with the session time already normalized
-// into (epoch, ageBucket) exactly as keyFor does — as a deterministic
-// string. It is the contract between this cache and a consistent-hash
-// front tier: two requests that would share a cache entry here produce
-// equal shard keys, so a router hashing ShardKey routes them to the
-// same backend and the backend pool's caches shard instead of
-// duplicating.
+// ShardKey renders req's evaluated world — every field of the internal
+// cache key, with the session time already normalized into (epoch,
+// ageBucket) exactly as keyFor does — as a deterministic string. The
+// selection mode is not part of it. It is the contract between this
+// cache and a consistent-hash front tier: two requests that would share
+// a cache entry here produce equal shard keys, so a router hashing
+// ShardKey routes both modes of a world to the same backend and the
+// backend pool's caches shard instead of duplicating.
 // A non-positive coherence uses the default the server itself defaults
 // to, keeping router and backend bucketing aligned.
 func ShardKey(req Request, coherence time.Duration) string {
@@ -355,21 +340,22 @@ func ShardKey(req Request, coherence time.Duration) string {
 		coherence = strategy.DefaultCoherence
 	}
 	epoch, bucket := sessionEpoch(req, coherence)
-	return fmt.Sprintf("%s|%d|%d|%d|%v|%d|%d|%t",
+	return fmt.Sprintf("%s|%d|%d|%v|%d|%d|%t",
 		req.Scenario.Name, req.Scenario.APAntennas*100+req.Scenario.ClientAntennas*10+req.Scenario.Streams,
-		req.Seed, req.Mode, req.Impairments, bucket, epoch, req.MultiDecoder)
+		req.Seed, req.Impairments, bucket, epoch, req.MultiDecoder)
 }
 
 // Allocate serves one request: result cache first, then in-flight
 // deduplication, then the admission queue and the evaluator pool. The
 // returned bool reports whether the result was served without a
-// dedicated evaluation (cache hit or piggybacked on an identical
-// in-flight request). Cache hits are allocation-free.
+// dedicated evaluation (cache hit, or piggybacked on an in-flight
+// evaluation of the same world in either mode). Cache hits are
+// allocation-free.
 //
 // When ctx carries a sampled trace (obs.StartSpan at the transport
 // edge), the request records a serve.allocate span with one child per
 // pipeline stage — serve.cache, serve.admission, serve.queue,
-// serve.batch, serve.evaluate — so a slow allocate decomposes into the
+// serve.evaluate — so a slow allocate decomposes into the
 // stage that cost it. Untraced contexts skip all span work, preserving
 // the allocation-free cache-hit contract.
 func (s *Server) Allocate(ctx context.Context, req Request) (res *Result, shared bool, err error) {
@@ -391,19 +377,19 @@ func (s *Server) Allocate(ctx context.Context, req Request) (res *Result, shared
 		mShedClosed.Inc()
 		return nil, false, ErrServerClosed
 	}
-	if res, ok := s.cache.get(k); ok {
+	if rs, ok := s.cache.get(k); ok {
 		s.mu.Unlock()
 		cacheSp.SetAttr("cache", "hit")
 		cacheSp.End()
 		mCacheHits.Inc()
-		return res, true, nil
+		return &rs[slot(req.Mode)], true, nil
 	}
 	if f, ok := s.inflight[k]; ok {
 		s.mu.Unlock()
 		cacheSp.SetAttr("cache", "inflight")
 		cacheSp.End()
 		mInflightDedup.Inc()
-		res, err := awaitFlight(ctx, f)
+		res, err := awaitFlight(ctx, f, req.Mode)
 		return res, true, err
 	}
 	cacheSp.SetAttr("cache", "miss")
@@ -437,16 +423,20 @@ func (s *Server) Allocate(ctx context.Context, req Request) (res *Result, shared
 		s.finish(c, nil, ErrQueueFull)
 		return nil, false, ErrQueueFull
 	}
-	res, err = awaitFlight(ctx, f)
+	res, err = awaitFlight(ctx, f, req.Mode)
 	return res, false, err
 }
 
 // awaitFlight blocks until the flight resolves or the caller's context
-// ends. An abandoned flight still completes and populates the cache.
-func awaitFlight(ctx context.Context, f *flight) (*Result, error) {
+// ends, and returns the flight's answer for mode. An abandoned flight
+// still completes and populates the cache.
+func awaitFlight(ctx context.Context, f *flight, mode strategy.Mode) (*Result, error) {
 	select {
 	case <-f.done:
-		return f.res, f.err
+		if f.err != nil {
+			return nil, f.err
+		}
+		return &f.res[slot(mode)], nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
@@ -454,7 +444,7 @@ func awaitFlight(ctx context.Context, f *flight) (*Result, error) {
 
 // finish resolves a call's flight: deregisters it, caches successful
 // results, and wakes every waiter.
-func (s *Server) finish(c *call, res *Result, err error) {
+func (s *Server) finish(c *call, res *results, err error) {
 	s.mu.Lock()
 	delete(s.inflight, c.key)
 	if err == nil && res != nil {
@@ -467,144 +457,53 @@ func (s *Server) finish(c *call, res *Result, err error) {
 
 // worker is one evaluator goroutine. It owns one workspace arena for
 // its lifetime (DESIGN §8: a workspace is single-goroutine) and reuses
-// it across every evaluation it runs.
+// it across every evaluation it runs. A call whose deadline passed
+// while it was queued is shed without evaluation.
 func (s *Server) worker() {
 	defer s.workerWG.Done()
 	ws := &precoding.Workspace{}
-	var batch []*call
 	for c := range s.queue {
-		s.pickup(c)
-		batch = append(batch[:0], c)
-		if s.cfg.MaxBatch > 1 {
-			batch = s.coalesce(batch)
-		}
+		mQueueSeconds.Observe(time.Since(c.enqueued))
+		c.stage.End()
 		mQueueDepth.Set(float64(len(s.queue)))
-		s.runBatch(ws, batch)
-	}
-}
-
-// pickup marks a call's transition out of the queue into a batch under
-// assembly: the queue-wait stage ends (timed into mQueueSeconds), the
-// batch-assembly stage begins.
-func (s *Server) pickup(c *call) {
-	mQueueSeconds.Observe(time.Since(c.enqueued))
-	c.stage.End()
-	c.stage = obs.ChildSpan(c.ctx, "serve.batch")
-}
-
-// coalesce grows a batch with requests that are already queued or
-// arrive within the batch window, up to MaxBatch.
-func (s *Server) coalesce(batch []*call) []*call {
-	if s.cfg.BatchWindow <= 0 {
-		for len(batch) < s.cfg.MaxBatch {
-			select {
-			case c, ok := <-s.queue:
-				if !ok {
-					return batch
-				}
-				s.pickup(c)
-				batch = append(batch, c)
-			default:
-				return batch
-			}
-		}
-		return batch
-	}
-	t := time.NewTimer(s.cfg.BatchWindow)
-	defer t.Stop()
-	for len(batch) < s.cfg.MaxBatch {
-		select {
-		case c, ok := <-s.queue:
-			if !ok {
-				return batch
-			}
-			s.pickup(c)
-			batch = append(batch, c)
-		case <-t.C:
-			return batch
-		}
-	}
-	return batch
-}
-
-// runBatch partitions a batch into evaluation groups (same world,
-// possibly different modes) and runs each group through one evaluator.
-func (s *Server) runBatch(ws *precoding.Workspace, batch []*call) {
-	mBatches.Inc()
-	mBatchSize.ObserveInt(len(batch))
-	var group []*call
-	for i, c := range batch {
-		if c == nil {
-			continue
-		}
-		group = append(group[:0], c)
-		ek := c.key.eval()
-		for j := i + 1; j < len(batch); j++ {
-			if batch[j] != nil && batch[j].key.eval() == ek {
-				group = append(group, batch[j])
-				batch[j] = nil
-			}
-		}
-		if len(group) > 1 {
-			mBatchShared.Add(uint64(len(group) - 1))
-		}
-		s.runGroup(ws, group)
-	}
-}
-
-// runGroup evaluates one world once and answers every live call in the
-// group from it. Calls whose deadline has already passed are shed
-// without evaluation.
-func (s *Server) runGroup(ws *precoding.Workspace, group []*call) {
-	now := time.Now()
-	live := group[:0]
-	for _, c := range group {
-		c.stage.End() // batch assembly is over for every group member
-		if now.After(c.deadline) {
-			c.stage = nil
+		if time.Now().After(c.deadline) {
 			mShedExpired.Inc()
 			s.finish(c, nil, ErrExpired)
 			continue
 		}
-		c.stage = obs.ChildSpan(c.ctx, "serve.evaluate")
-		live = append(live, c)
+		s.evaluate(ws, c)
 	}
-	if len(live) == 0 {
-		return
-	}
+}
 
+// evaluate runs one world once and resolves its flight with the answer
+// for both selection modes.
+func (s *Server) evaluate(ws *precoding.Workspace, c *call) {
+	c.stage = obs.ChildSpan(c.ctx, "serve.evaluate")
 	if s.cfg.EvalHook != nil {
-		s.cfg.EvalHook(live[0].req)
+		s.cfg.EvalHook(c.req)
 	}
 	sample := mEvaluateSeconds.Begin()
 	ws.Reset()
 	// The (epoch, bucket) pair comes off the cache key — the single
 	// computation in keyFor — never re-derived from the raw age here.
-	bucket, epoch := live[0].key.ageBucket, live[0].key.epoch
-	outs, err := evaluateWorld(ws, live[0].req, bucket, epoch)
+	bucket, epoch := c.key.ageBucket, c.key.epoch
+	outs, err := evaluateWorld(ws, c.req, bucket, epoch)
 	sample.End()
-	for _, c := range live {
-		c.stage.EndErr(err)
-		c.stage = nil
-	}
+	c.stage.EndErr(err)
 	if err != nil {
 		mEvaluateErrors.Inc()
-		for _, c := range live {
-			s.finish(c, nil, err)
-		}
+		s.finish(c, nil, err)
 		return
 	}
 	// ValidUntil is derived from the key alone (not from whether the
 	// computing request was a session), so a cache entry shared between
 	// a session request at time t and a static request with the same
 	// (epoch, bucket) identity is byte-identical either way.
-	res := Result{AgeBucket: bucket, Epoch: epoch, ValidUntil: validUntil(epoch, bucket, s.cfg.Coherence)}
-	for _, c := range live {
-		r := res
-		r.Selected = strategy.Select(c.req.Mode, outs)
-		r.Outcomes = outs
-		s.finish(c, &r, nil)
-	}
+	res := Result{Outcomes: outs, AgeBucket: bucket, Epoch: epoch, ValidUntil: validUntil(epoch, bucket, s.cfg.Coherence)}
+	rs := &results{res, res}
+	rs[0].Selected = strategy.Select(strategy.ModeMax, outs)
+	rs[1].Selected = strategy.Select(strategy.ModeFair, outs)
+	s.finish(c, rs, nil)
 }
 
 // evaluateWorld rebuilds the request's deterministic world — the same
@@ -625,16 +524,13 @@ func evaluateWorld(ws *precoding.Workspace, req Request, bucket int, epoch int64
 
 // Stats is a point-in-time operational reading for health endpoints.
 // Cache carries the full per-shard cache reading (hits, misses,
-// evictions, entries) a fronting router uses to observe shard balance;
-// CacheEntries/CacheCap remain as flat duplicates for older probes.
+// evictions, entries) a fronting router uses to observe shard balance.
 type Stats struct {
-	Workers      int        `json:"workers"`
-	QueueDepth   int        `json:"queue_depth"`
-	QueueCap     int        `json:"queue_cap"`
-	CacheEntries int        `json:"cache_entries"`
-	CacheCap     int        `json:"cache_cap"`
-	Cache        CacheStats `json:"cache"`
-	Draining     bool       `json:"draining"`
+	Workers    int        `json:"workers"`
+	QueueDepth int        `json:"queue_depth"`
+	QueueCap   int        `json:"queue_cap"`
+	Cache      CacheStats `json:"cache"`
+	Draining   bool       `json:"draining"`
 }
 
 // Stats reports the server's current operational state.
@@ -642,13 +538,11 @@ func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
-		Workers:      s.cfg.Workers,
-		QueueDepth:   len(s.queue),
-		QueueCap:     cap(s.queue),
-		CacheEntries: s.cache.len(),
-		CacheCap:     s.cache.max,
-		Cache:        s.cache.stats(),
-		Draining:     s.closed,
+		Workers:    s.cfg.Workers,
+		QueueDepth: len(s.queue),
+		QueueCap:   cap(s.queue),
+		Cache:      s.cache.stats(),
+		Draining:   s.closed,
 	}
 }
 

@@ -18,8 +18,6 @@ func testConfig() Config {
 	return Config{
 		Workers:         2,
 		QueueDepth:      16,
-		BatchWindow:     -1, // no waiting: coalesce only what is queued
-		MaxBatch:        8,
 		CacheEntries:    64,
 		DefaultDeadline: 10 * time.Second,
 		DrainTimeout:    10 * time.Second,
@@ -96,8 +94,8 @@ func TestAllocateCachesAndMatchesSerial(t *testing.T) {
 		t.Fatal("cache hit returned a different result object")
 	}
 
-	// The other selection mode is a different cache key but shares the
-	// same evaluation world: outcomes must agree value-for-value.
+	// The other selection mode is answered from the same evaluated
+	// world: outcomes must agree value-for-value.
 	fair := req1x1(7, strategy.ModeFair)
 	resF, _, err := s.Allocate(context.Background(), fair)
 	if err != nil {
@@ -166,7 +164,6 @@ func TestQueueFullSheds(t *testing.T) {
 	cfg := testConfig()
 	cfg.Workers = 1
 	cfg.QueueDepth = 1
-	cfg.MaxBatch = 1
 	cfg.EvalHook = slow4x2Hook(150 * time.Millisecond)
 	s := New(cfg)
 	defer s.Close()
@@ -217,7 +214,6 @@ func TestQueueFullSheds(t *testing.T) {
 func TestDeadlineExpiresInQueue(t *testing.T) {
 	cfg := testConfig()
 	cfg.Workers = 1
-	cfg.MaxBatch = 1
 	cfg.DefaultDeadline = time.Millisecond
 	cfg.EvalHook = slow4x2Hook(150 * time.Millisecond)
 	s := New(cfg)
@@ -248,7 +244,6 @@ func TestDeadlineExpiresInQueue(t *testing.T) {
 func TestInflightDeduplication(t *testing.T) {
 	cfg := testConfig()
 	cfg.Workers = 1
-	cfg.MaxBatch = 1
 	cfg.EvalHook = slow4x2Hook(150 * time.Millisecond)
 	s := New(cfg)
 	defer s.Close()
@@ -348,7 +343,7 @@ func TestCacheBoundAndEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := s.Stats().CacheEntries; n > 2 {
+	if n := s.Stats().Cache.Entries; n > 2 {
 		t.Fatalf("cache holds %d entries, bound is 2", n)
 	}
 	if got := counter("copa.serve.cache_evictions"); got <= before {
@@ -366,7 +361,6 @@ func TestCacheBoundAndEviction(t *testing.T) {
 func TestShutdownDrainsAndRejects(t *testing.T) {
 	cfg := testConfig()
 	cfg.Workers = 1
-	cfg.MaxBatch = 1
 	s := New(cfg)
 
 	// Queue several requests, then shut down: every admitted request
@@ -403,41 +397,120 @@ func TestShutdownDrainsAndRejects(t *testing.T) {
 	}
 }
 
-// TestBatchSharesEvaluations verifies the amortization batching exists
-// for: requests that differ only in mode, queued together, share one
-// EvaluateAll pass.
-func TestBatchSharesEvaluations(t *testing.T) {
-	cfg := testConfig()
-	cfg.Workers = 1
-	cfg.MaxBatch = 8
-	cfg.CacheEntries = -1 // force both through the pool
-	cfg.EvalHook = slow4x2Hook(150 * time.Millisecond)
-	s := New(cfg)
-	defer s.Close()
+func timerCount(name string) uint64 {
+	return obs.Default().Snapshot().Timers[name].Count
+}
 
-	before := counter("copa.serve.batch_shared_evals")
-	blocker := Request{Scenario: channel.Scenario4x2, Seed: 99, Impairments: channel.DefaultImpairments()}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, _, _ = s.Allocate(context.Background(), blocker)
-	}()
-	time.Sleep(20 * time.Millisecond)
+// TestModesShareOneEvaluation: a world is evaluated once for both
+// selection modes. Concurrent max and fair requests share one flight,
+// a later request in the other mode is a cache hit, and each mode
+// still gets strategy.Select of its own policy.
+func TestModesShareOneEvaluation(t *testing.T) {
+	t.Run("inflight", func(t *testing.T) {
+		cfg := testConfig()
+		cfg.CacheEntries = -1 // only the flight can share the evaluation
+		release := make(chan struct{})
+		cfg.EvalHook = func(Request) { <-release }
+		s := New(cfg)
+		defer s.Close()
 
-	// Same world, both modes, queued while the worker is busy: they end
-	// up in one batch and one evaluation group.
-	for _, mode := range []strategy.Mode{strategy.ModeMax, strategy.ModeFair} {
-		wg.Add(1)
-		go func(mode strategy.Mode) {
-			defer wg.Done()
-			if _, _, err := s.Allocate(context.Background(), req1x1(77, mode)); err != nil {
-				t.Errorf("batched request: %v", err)
+		evals := timerCount("copa.serve.evaluate_seconds")
+		dedup := counter("copa.serve.inflight_dedup")
+		reqs := []Request{req1x1(77, strategy.ModeMax), req1x1(77, strategy.ModeFair)}
+		results := make([]*Result, len(reqs))
+		var wg sync.WaitGroup
+		for i, r := range reqs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res, _, err := s.Allocate(context.Background(), r)
+				if err != nil {
+					t.Errorf("%v request: %v", r.Mode, err)
+				}
+				results[i] = res
+			}()
+		}
+		// The evaluation is held until one request has joined the
+		// other's flight.
+		for deadline := time.Now().Add(5 * time.Second); counter("copa.serve.inflight_dedup") == dedup; {
+			if time.Now().After(deadline) {
+				close(release)
+				t.Fatal("neither mode joined the other's in-flight evaluation")
 			}
-		}(mode)
+			time.Sleep(time.Millisecond)
+		}
+		close(release)
+		wg.Wait()
+		if got := timerCount("copa.serve.evaluate_seconds") - evals; got != 1 {
+			t.Fatalf("both modes of one world ran %d evaluations, want 1", got)
+		}
+		for i, r := range reqs {
+			if results[i] == nil || results[i].Selected != serialReference(t, r, cfg.Coherence) {
+				t.Fatalf("%v outcome diverges from serial reference", r.Mode)
+			}
+		}
+	})
+
+	t.Run("cached", func(t *testing.T) {
+		s := New(testConfig())
+		defer s.Close()
+		if _, _, err := s.Allocate(context.Background(), req1x1(78, strategy.ModeMax)); err != nil {
+			t.Fatal(err)
+		}
+		// A mode outside {max, fair} selects the way strategy.Select
+		// reads it: as max.
+		for _, mode := range []strategy.Mode{strategy.ModeFair, strategy.ModeMax, strategy.Mode(7)} {
+			r := req1x1(78, mode)
+			res, cached, err := s.Allocate(context.Background(), r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !cached {
+				t.Errorf("mode %d after max was not served from cache", mode)
+			}
+			if res.Selected != serialReference(t, r, s.cfg.Coherence) {
+				t.Errorf("mode %d outcome diverges from serial reference", mode)
+			}
+		}
+	})
+}
+
+// TestShardKey pins the contract a consistent-hash front tier relies
+// on: two requests have equal shard keys exactly when they share a
+// cache entry, so both modes of a world reach one backend.
+func TestShardKey(t *testing.T) {
+	coh := 40 * time.Millisecond
+	s := &Server{cfg: Config{Coherence: coh}}
+	base := req1x1(5, strategy.ModeMax)
+	with := func(edit func(*Request)) Request {
+		r := base
+		edit(&r)
+		return r
 	}
-	wg.Wait()
-	if got := counter("copa.serve.batch_shared_evals"); got <= before {
-		t.Fatal("batch_shared_evals counter did not advance: modes were evaluated separately")
+	at := func(tm time.Duration) Request {
+		return with(func(r *Request) { r.Session, r.Time = true, tm })
+	}
+	cases := []struct {
+		name  string
+		a, b  Request
+		equal bool
+	}{
+		{"modes of one world", base, req1x1(5, strategy.ModeFair), true},
+		{"seed", base, req1x1(6, strategy.ModeMax), false},
+		{"scenario", base, with(func(r *Request) { r.Scenario = channel.Scenario4x2 }), false},
+		{"impairments", base, with(func(r *Request) { r.Impairments = channel.PerfectHardware() }), false},
+		{"age bucket", base, with(func(r *Request) { r.CSIAge = 25 * time.Millisecond }), false},
+		{"epoch", at(11 * time.Millisecond), at(coh + 11*time.Millisecond), false},
+		{"multi-decoder", base, with(func(r *Request) { r.MultiDecoder = true }), false},
+		{"session times in one bucket", at(11 * time.Millisecond), at(14 * time.Millisecond), true},
+	}
+	for _, c := range cases {
+		ka, kb := ShardKey(c.a, coh), ShardKey(c.b, coh)
+		if (ka == kb) != c.equal {
+			t.Errorf("%s: ShardKey %q vs %q, want equal=%v", c.name, ka, kb, c.equal)
+		}
+		if (s.keyFor(c.a) == s.keyFor(c.b)) != c.equal {
+			t.Errorf("%s: the cache keys disagree with the shard keys", c.name)
+		}
 	}
 }
