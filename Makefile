@@ -74,9 +74,12 @@ govulncheck:
 # (internal/power), and the pinned golden outcome bits plus the COPA+
 # goldens (internal/strategy) — all under the race detector. CI runs it
 # twice, with GOAMD64=v1 (bit-exact goldens) and v3 (FMA contraction,
-# tolerance fallback).
+# tolerance fallback). internal/strategy runs a second time at
+# GOMAXPROCS=1, so the goldens hold both when EvaluateAll hands tasks to
+# helper goroutines and when it runs every task inline.
 kernel-equiv:
 	$(GO) test -race ./internal/linalg ./internal/precoding ./internal/power ./internal/strategy
+	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/strategy
 
 # bench regenerates every paper figure/table and times the pipeline.
 bench:

@@ -356,7 +356,8 @@ var (
 	ErrQueueFull = serve.ErrQueueFull
 	// ErrServerClosed is returned once the server is draining or closed.
 	ErrServerClosed = serve.ErrServerClosed
-	// ErrExpired is returned when a request's deadline passed in queue.
+	// ErrExpired is returned when a request's own deadline passed before
+	// its world was evaluated.
 	ErrExpired = serve.ErrExpired
 )
 

@@ -13,7 +13,10 @@ import (
 // linalg.Workspace, so one arena backs both layers and the linalg
 // ownership rules apply unchanged: values returned by *WS functions live
 // in the workspace until the owner calls Reset, *WS functions never Reset,
-// and a Workspace must not be shared between goroutines.
+// and a Workspace must not be shared between goroutines. A goroutine that
+// needs scratch beside another owns a workspace of its own: the helper
+// goroutines strategy.Evaluator.EvaluateAll borrows each keep one for
+// their lifetime and never carve from the evaluator's.
 //
 // The *Into builders are the exception: they treat the workspace as
 // exclusively theirs for the duration of the call (resetting it per

@@ -14,10 +14,12 @@
 // a max and a fair request for the same world never evaluate twice.
 //
 // Admission is a bounded queue: when it is full the request is shed
-// immediately with ErrQueueFull (the HTTP front end maps this to 503),
-// and requests whose deadline expires while queued are dropped without
-// evaluation. Shutdown stops admission, drains queued work, and waits
-// for the workers within a caller-supplied deadline.
+// immediately with ErrQueueFull (the HTTP front end maps this to 503).
+// Each request waits until its own deadline at most (ErrExpired), and a
+// queued world is dropped without evaluation once every request waiting
+// on it has passed its deadline. Shutdown stops admission, drains
+// queued work, and waits for the workers within a caller-supplied
+// deadline.
 package serve
 
 import (
@@ -45,8 +47,8 @@ var (
 	// ErrServerClosed is returned for requests arriving during or after
 	// shutdown.
 	ErrServerClosed = errors.New("serve: server closed")
-	// ErrExpired is returned when a request's deadline passed while it
-	// waited in the queue.
+	// ErrExpired is returned when a request's own deadline passed before
+	// its world was evaluated.
 	ErrExpired = errors.New("serve: request deadline expired in queue")
 )
 
@@ -227,6 +229,21 @@ type flight struct {
 	done chan struct{}
 	res  *results
 	err  error
+	// deadline is the latest deadline among the flight's waiters: the
+	// worker sheds the flight only once no waiter can still use it.
+	// Guarded by Server.mu.
+	deadline time.Time
+}
+
+// answer returns the resolved flight's result for mode.
+func (f *flight) answer(mode strategy.Mode) (*Result, error) {
+	if f.err != nil {
+		if f.err == ErrExpired {
+			mShedExpired.Inc()
+		}
+		return nil, f.err
+	}
+	return &f.res[slot(mode)], nil
 }
 
 // call is one admitted request on its way through the queue.
@@ -234,7 +251,6 @@ type call struct {
 	key      key
 	req      Request
 	f        *flight
-	deadline time.Time
 	enqueued time.Time
 	// ctx carries the request's trace identity (never its cancellation —
 	// abandoned flights still complete). stage is the currently-open
@@ -385,11 +401,17 @@ func (s *Server) Allocate(ctx context.Context, req Request) (res *Result, shared
 		return &rs[slot(req.Mode)], true, nil
 	}
 	if f, ok := s.inflight[k]; ok {
+		// A joiner with a later deadline keeps the flight alive for
+		// itself; it still waits only until its own deadline.
+		deadline, ctxBound := s.deadline(ctx)
+		if deadline.After(f.deadline) {
+			f.deadline = deadline
+		}
 		s.mu.Unlock()
 		cacheSp.SetAttr("cache", "inflight")
 		cacheSp.End()
 		mInflightDedup.Inc()
-		res, err := awaitFlight(ctx, f, req.Mode)
+		res, err := awaitFlight(ctx, f, req.Mode, deadline, ctxBound)
 		return res, true, err
 	}
 	cacheSp.SetAttr("cache", "miss")
@@ -398,17 +420,13 @@ func (s *Server) Allocate(ctx context.Context, req Request) (res *Result, shared
 
 	// Stage: admission — registering the flight and entering the queue.
 	aSpan := obs.ChildSpan(ctx, "serve.admission")
-	f := &flight{done: make(chan struct{})}
+	deadline, ctxBound := s.deadline(ctx)
+	f := &flight{done: make(chan struct{}), deadline: deadline}
 	s.inflight[k] = f
 	s.admitWG.Add(1)
 	s.mu.Unlock()
 
-	now := time.Now()
-	deadline := now.Add(s.cfg.DefaultDeadline)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
-	}
-	c := &call{key: k, req: req, f: f, deadline: deadline, enqueued: now, ctx: ctx}
+	c := &call{key: k, req: req, f: f, enqueued: time.Now(), ctx: ctx}
 	c.stage = obs.ChildSpan(ctx, "serve.queue")
 	select {
 	case s.queue <- c:
@@ -423,23 +441,51 @@ func (s *Server) Allocate(ctx context.Context, req Request) (res *Result, shared
 		s.finish(c, nil, ErrQueueFull)
 		return nil, false, ErrQueueFull
 	}
-	res, err = awaitFlight(ctx, f, req.Mode)
+	res, err = awaitFlight(ctx, f, req.Mode, deadline, ctxBound)
 	return res, false, err
 }
 
-// awaitFlight blocks until the flight resolves or the caller's context
-// ends, and returns the flight's answer for mode. An abandoned flight
-// still completes and populates the cache.
-func awaitFlight(ctx context.Context, f *flight, mode strategy.Mode) (*Result, error) {
+// deadline is a request's own deadline: DefaultDeadline from now, or
+// its context's deadline if that is sooner, in which case ctxBound is
+// true.
+func (s *Server) deadline(ctx context.Context) (deadline time.Time, ctxBound bool) {
+	deadline = time.Now().Add(s.cfg.DefaultDeadline)
+	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
+		return d, true
+	}
+	return deadline, false
+}
+
+// awaitFlight blocks until the flight resolves, the caller's context is
+// cancelled, or the caller's own deadline passes, and returns the
+// flight's answer for mode. Only this waiter gets ErrExpired at its
+// deadline; the flight lives on for any waiter with a later one. A
+// deadline the context carries fires through ctx.Done, so only a
+// DefaultDeadline-bound wait arms a timer. An abandoned flight still
+// completes and populates the cache.
+func awaitFlight(ctx context.Context, f *flight, mode strategy.Mode, deadline time.Time, ctxBound bool) (*Result, error) {
+	var expire <-chan time.Time
+	if !ctxBound {
+		t := time.NewTimer(time.Until(deadline))
+		defer t.Stop()
+		expire = t.C
+	}
 	select {
 	case <-f.done:
-		if f.err != nil {
-			return nil, f.err
-		}
-		return &f.res[slot(mode)], nil
+		return f.answer(mode)
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		if ctx.Err() != context.DeadlineExceeded {
+			return nil, ctx.Err()
+		}
+	case <-expire:
 	}
+	select {
+	case <-f.done: // resolved as the deadline passed: take the answer
+		return f.answer(mode)
+	default:
+	}
+	mShedExpired.Inc()
+	return nil, ErrExpired
 }
 
 // finish resolves a call's flight: deregisters it, caches successful
@@ -457,8 +503,8 @@ func (s *Server) finish(c *call, res *results, err error) {
 
 // worker is one evaluator goroutine. It owns one workspace arena for
 // its lifetime (DESIGN §8: a workspace is single-goroutine) and reuses
-// it across every evaluation it runs. A call whose deadline passed
-// while it was queued is shed without evaluation.
+// it across every evaluation it runs. A call whose every waiter's
+// deadline passed while it was queued is shed without evaluation.
 func (s *Server) worker() {
 	defer s.workerWG.Done()
 	ws := &precoding.Workspace{}
@@ -466,13 +512,29 @@ func (s *Server) worker() {
 		mQueueSeconds.Observe(time.Since(c.enqueued))
 		c.stage.End()
 		mQueueDepth.Set(float64(len(s.queue)))
-		if time.Now().After(c.deadline) {
-			mShedExpired.Inc()
-			s.finish(c, nil, ErrExpired)
+		if s.shedExpired(c) {
 			continue
 		}
 		s.evaluate(ws, c)
 	}
+}
+
+// shedExpired resolves c's flight with ErrExpired if its deadline — the
+// latest of its waiters' — has passed. The check and the flight's
+// deregistration share one critical section, so no request can join a
+// flight that is being shed.
+func (s *Server) shedExpired(c *call) bool {
+	s.mu.Lock()
+	expired := time.Now().After(c.f.deadline)
+	if expired {
+		delete(s.inflight, c.key)
+	}
+	s.mu.Unlock()
+	if expired {
+		c.f.err = ErrExpired
+		close(c.f.done)
+	}
+	return expired
 }
 
 // evaluate runs one world once and resolves its flight with the answer

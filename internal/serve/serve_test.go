@@ -241,6 +241,114 @@ func TestDeadlineExpiresInQueue(t *testing.T) {
 	}
 }
 
+// queueBehindBlocker starts a slow 4x2 evaluation on s's single worker
+// and returns once it is running, so worlds requested next wait in the
+// queue. wait blocks until the blocker is answered.
+func queueBehindBlocker(t *testing.T, s *Server) (wait func()) {
+	t.Helper()
+	blocker := Request{Scenario: channel.Scenario4x2, Seed: 99, Impairments: channel.DefaultImpairments()}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_, _, _ = s.Allocate(context.Background(), blocker)
+	}()
+	time.Sleep(20 * time.Millisecond)
+	return func() { <-done }
+}
+
+// awaitInflight blocks until s has registered a flight for req's world.
+func awaitInflight(t *testing.T, s *Server, req Request) {
+	t.Helper()
+	k := s.keyFor(req)
+	for start := time.Now(); time.Since(start) < 5*time.Second; time.Sleep(100 * time.Microsecond) {
+		s.mu.Lock()
+		_, ok := s.inflight[k]
+		s.mu.Unlock()
+		if ok {
+			return
+		}
+	}
+	t.Fatal("flight never registered")
+}
+
+// TestJoinerKeepsItsOwnDeadline: a request that joins a flight started
+// by a request with a shorter deadline is answered, even though the
+// first request's deadline passed while the world was queued.
+func TestJoinerKeepsItsOwnDeadline(t *testing.T) {
+	cfg := testConfig()
+	cfg.Workers = 1
+	cfg.EvalHook = slow4x2Hook(150 * time.Millisecond)
+	s := New(cfg)
+	defer s.Close()
+	wait := queueBehindBlocker(t, s)
+	defer wait()
+
+	maxReq := req1x1(61, strategy.ModeMax)
+	var maxErr error
+	maxDone := make(chan struct{})
+	go func() {
+		defer close(maxDone)
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+		defer cancel()
+		_, _, maxErr = s.Allocate(ctx, maxReq)
+	}()
+	awaitInflight(t, s, maxReq)
+
+	res, cached, err := s.Allocate(context.Background(), req1x1(61, strategy.ModeFair))
+	if err != nil {
+		t.Fatalf("joined fair request: %v, want a result", err)
+	}
+	if !cached || res == nil {
+		t.Fatalf("joined fair request: cached=%v res=%v, want the shared flight's answer", cached, res)
+	}
+	<-maxDone
+	if !errors.Is(maxErr, ErrExpired) {
+		t.Fatalf("5ms max request: err = %v, want ErrExpired", maxErr)
+	}
+}
+
+// TestShorterJoinerExpiresAlone: a joiner with a shorter deadline gets
+// ErrExpired at its own deadline, and the request that started the
+// flight is still answered.
+func TestShorterJoinerExpiresAlone(t *testing.T) {
+	cfg := testConfig()
+	cfg.Workers = 1
+	cfg.EvalHook = slow4x2Hook(150 * time.Millisecond)
+	s := New(cfg)
+	defer s.Close()
+	wait := queueBehindBlocker(t, s)
+	defer wait()
+
+	first := req1x1(62, strategy.ModeMax)
+	var firstRes *Result
+	var firstErr error
+	firstDone := make(chan struct{})
+	go func() {
+		defer close(firstDone)
+		firstRes, _, firstErr = s.Allocate(context.Background(), first)
+	}()
+	awaitInflight(t, s, first)
+
+	before := counter("copa.serve.shed_expired")
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, _, err := s.Allocate(ctx, req1x1(62, strategy.ModeFair))
+	if !errors.Is(err, ErrExpired) {
+		t.Fatalf("5ms joiner: err = %v, want ErrExpired", err)
+	}
+	if waited := time.Since(start); waited > 100*time.Millisecond {
+		t.Fatalf("5ms joiner waited %v: it must end at its own deadline, not the flight's", waited)
+	}
+	if got := counter("copa.serve.shed_expired"); got != before+1 {
+		t.Fatalf("shed_expired advanced by %d, want 1 (it counts requests)", got-before)
+	}
+	<-firstDone
+	if firstErr != nil || firstRes == nil {
+		t.Fatalf("first request: res=%v err=%v, want an answer", firstRes, firstErr)
+	}
+}
+
 func TestInflightDeduplication(t *testing.T) {
 	cfg := testConfig()
 	cfg.Workers = 1

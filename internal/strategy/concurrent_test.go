@@ -1,63 +1,64 @@
 package strategy
 
 import (
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
 	"copa/internal/channel"
-	"copa/internal/rng"
 )
 
 // TestEvaluatorsConcurrently checks the workspace design's isolation
-// guarantee: evaluators do not share scratch, so two of them may run in
+// guarantee: evaluators do not share scratch, so several may run in
 // parallel (one per goroutine) and must produce exactly the results a
-// serial run does. Run under -race this also proves the DFT plan cache's
-// locking is sound.
+// serial run does. Four evaluations on fewer processors contend for the
+// idle-processor budget, so some borrow helpers and some run inline.
+// Run under -race this also proves the DFT plan cache's locking and the
+// helper hand-off are sound.
 func TestEvaluatorsConcurrently(t *testing.T) {
-	build := func(seed int64) *Evaluator {
-		src := rng.New(seed)
-		dep := channel.NewDeployment(src.Split(1), channel.Scenario4x2)
-		return NewEvaluator(dep, channel.DefaultImpairments(), src.Split(2))
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	configs := []worldConfig{
+		{sc: channel.Scenario4x2, seed: 100},
+		{sc: channel.Scenario4x2, seed: 101},
+		{sc: channel.Scenario3x2, seed: 102},
+		{sc: channel.Scenario1x1, seed: 103, mercury: true},
 	}
 
 	// Serial reference.
-	want := make([]map[Kind]Outcome, 2)
-	for i := range want {
-		outs, err := build(int64(100 + i)).EvaluateAll()
+	want := make([]map[Kind]Outcome, len(configs))
+	for i, c := range configs {
+		outs, err := serialEvaluateAll(c.evaluator())
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = outs
 	}
 
-	// Same evaluations, two goroutines with separate evaluators.
-	got := make([]map[Kind]Outcome, 2)
-	errs := make([]error, 2)
-	var wg sync.WaitGroup
-	for i := range got {
+	// Same evaluations, all at once on separate evaluators.
+	got := make([]map[Kind]Outcome, len(configs))
+	errs := make([]error, len(configs))
+	var start, wg sync.WaitGroup
+	start.Add(1)
+	for i, c := range configs {
 		wg.Add(1)
-		go func(i int) {
+		go func(i int, ev *Evaluator) {
 			defer wg.Done()
-			got[i], errs[i] = build(int64(100 + i)).EvaluateAll()
-		}(i)
+			start.Wait()
+			got[i], errs[i] = ev.EvaluateAll()
+		}(i, c.evaluator())
 	}
+	start.Done()
 	wg.Wait()
 
-	for i := range got {
+	for i, c := range configs {
 		if errs[i] != nil {
-			t.Fatalf("evaluator %d: %v", i, errs[i])
+			t.Fatalf("%v: %v", c, errs[i])
 		}
-		if len(got[i]) != len(want[i]) {
-			t.Fatalf("evaluator %d: %d outcomes, want %d", i, len(got[i]), len(want[i]))
-		}
-		for k, w := range want[i] {
-			g, ok := got[i][k]
-			if !ok {
-				t.Fatalf("evaluator %d: missing %v", i, k)
-			}
-			if g != w {
-				t.Errorf("evaluator %d %v: concurrent run drifted:\n got %+v\nwant %+v", i, k, g, w)
-			}
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("%v: concurrent run drifted:\n got %+v\nwant %+v", c, got[i], want[i])
 		}
 	}
 }

@@ -36,14 +36,17 @@ type Evaluator struct {
 	MultiDecoder bool
 
 	// tx remembers the transmissions computed for each evaluated
-	// strategy so a selected outcome can actually be transmitted.
-	tx map[Kind][2]*precoding.Transmission
+	// strategy, by kind, so a selected outcome can actually be
+	// transmitted. A nil pair means the kind was not evaluated.
+	tx [KindConcNull + 1][2]*precoding.Transmission
 
 	// ws is the evaluator's scratch arena: SINR evaluation, power
 	// allocation, and precoder construction all carve their scratch from
 	// it, so repeated evaluations are allocation-free in steady state. It
-	// is lazily created and makes the evaluator single-goroutine (use one
-	// Evaluator per goroutine).
+	// is lazily created. The evaluator stays single-goroutine to its
+	// caller (use one Evaluator per goroutine); EvaluateAll may lend its
+	// read-only state to helper goroutines, which score strategies on
+	// arenas of their own and never touch this one (DESIGN §8).
 	ws *precoding.Workspace
 	// bf caches SVD beamforming precoders by stream count: CSMA,
 	// COPA-SEQ, and ConcBF all beamform from the same estimates, so the
@@ -53,6 +56,11 @@ type Evaluator struct {
 	// nulls caches the nulling plan and setup per follower designation:
 	// KindNull and KindConcNull share precoders and reduced link sets.
 	nulls map[int]*nullingState
+
+	// fan is EvaluateAll's task table and result slots. It lives inside
+	// the evaluator so fanning a world's strategies out to helpers
+	// allocates nothing per evaluation.
+	fan fanout
 }
 
 // DefaultCoherence is the paper's evaluation setting (§4.1).
@@ -111,11 +119,12 @@ func (ev *Evaluator) MeasureOnDeployment(dep *channel.Deployment, tx [2]*precodi
 // UseWorkspace installs a caller-owned scratch arena in place of the
 // lazily created private one, so a worker serving many evaluations can
 // reuse one arena's chunks across evaluators (internal/serve does this
-// per pool worker). DESIGN §8's rules carry over: the workspace — and
-// therefore the evaluator — stays single-goroutine, the arena must hold
-// no live carves when installed, and the evaluator owns it (including
-// resetting it) until the evaluator is discarded. It must be called
-// before the first evaluation.
+// per pool worker). DESIGN §8's rules carry over: the workspace stays
+// single-goroutine — helper goroutines that EvaluateAll borrows score on
+// their own arenas and never touch it — the arena must hold no live
+// carves when installed, and the evaluator owns it (including resetting
+// it) until the evaluator is discarded. It must be called before the
+// first evaluation.
 func (ev *Evaluator) UseWorkspace(ws *precoding.Workspace) {
 	if ev.ws != nil {
 		panic("strategy: UseWorkspace after evaluation started")
@@ -241,19 +250,20 @@ func (ev *Evaluator) beamformers(streams int) ([2]*precoding.Precoder, error) {
 	return p, nil
 }
 
-// outcome assembles an Outcome by measuring the same transmissions on
-// truth and on estimates, and remembers the transmissions for later
-// retrieval via TransmissionsFor.
-func (ev *Evaluator) outcome(kind Kind, concurrent, sda bool, truth, est links, tx [2]*precoding.Transmission, overhead float64) Outcome {
-	if ev.tx == nil {
-		ev.tx = make(map[Kind][2]*precoding.Transmission)
-	}
-	if _, seen := ev.tx[kind]; !seen {
-		// For SDA strategies evaluated under both follower designations,
-		// keep the first (the canonical follower-1 assignment): a real
-		// exchange transmits exactly one of them.
+// remember records the transmissions a strategy was scored with. For
+// SDA strategies evaluated under both follower designations it keeps
+// the first (the canonical follower-1 assignment): a real exchange
+// transmits exactly one of them.
+func (ev *Evaluator) remember(kind Kind, tx [2]*precoding.Transmission) {
+	if ev.tx[kind][0] == nil {
 		ev.tx[kind] = tx
 	}
+}
+
+// score assembles an Outcome by measuring the same transmissions on
+// truth and on estimates. It carves only from the evaluator's arena, so
+// lanes may score concurrently.
+func (ev *Evaluator) score(kind Kind, concurrent, sda bool, truth, est links, tx [2]*precoding.Transmission, overhead float64) Outcome {
 	return Outcome{
 		Kind:       kind,
 		Concurrent: concurrent,
@@ -267,10 +277,10 @@ func (ev *Evaluator) outcome(kind Kind, concurrent, sda bool, truth, est links, 
 // given outcome's strategy was evaluated. It errors if that strategy has
 // not been evaluated on this evaluator.
 func (ev *Evaluator) TransmissionsFor(o Outcome) (*precoding.Transmission, *precoding.Transmission, error) {
-	pair, ok := ev.tx[o.Kind]
-	if !ok {
+	if o.Kind < 0 || o.Kind > KindConcNull || ev.tx[o.Kind][0] == nil {
 		return nil, nil, fmt.Errorf("strategy: %v was not evaluated", o.Kind)
 	}
+	pair := ev.tx[o.Kind]
 	return pair[0], pair[1], nil
 }
 
@@ -286,8 +296,15 @@ func (ev *Evaluator) EvaluateCSMA() (Outcome, error) {
 	if err != nil {
 		return Outcome{}, err
 	}
+	o, tx := ev.csma(p)
+	ev.remember(KindCSMA, tx)
+	return o, nil
+}
+
+// csma scores equal-power beamforming with the senders taking turns.
+func (ev *Evaluator) csma(p [2]*precoding.Precoder) (Outcome, [2]*precoding.Transmission) {
 	tx := ev.equalSplitTx(p)
-	return ev.outcome(KindCSMA, false, false, ev.truthLinks(), ev.estLinks(), tx, mac.CSMACTSOverhead()), nil
+	return ev.score(KindCSMA, false, false, ev.truthLinks(), ev.estLinks(), tx, mac.CSMACTSOverhead()), tx
 }
 
 // EvaluateCSMADirectMap measures a harsher baseline: stock 802.11n with
@@ -298,7 +315,8 @@ func (ev *Evaluator) EvaluateCSMADirectMap() (Outcome, error) {
 	sc := ev.Truth.Scenario
 	dm := precoding.DirectMap(sc.APAntennas, sc.Streams, len(ev.Truth.H[0][0].Subcarriers))
 	tx := ev.equalSplitTx([2]*precoding.Precoder{dm, dm})
-	return ev.outcome(KindCSMA, false, false, ev.truthLinks(), ev.estLinks(), tx, mac.CSMACTSOverhead()), nil
+	ev.remember(KindCSMA, tx)
+	return ev.score(KindCSMA, false, false, ev.truthLinks(), ev.estLinks(), tx, mac.CSMACTSOverhead()), nil
 }
 
 // EvaluateCOPASeq measures sequential transmission with per-stream power
@@ -309,6 +327,14 @@ func (ev *Evaluator) EvaluateCOPASeq() (Outcome, error) {
 	if err != nil {
 		return Outcome{}, err
 	}
+	o, tx := ev.copaSeq(p)
+	ev.remember(KindCOPASeq, tx)
+	return o, nil
+}
+
+// copaSeq scores per-sender Equi-SINR allocation with the senders taking
+// turns.
+func (ev *Evaluator) copaSeq(p [2]*precoding.Precoder) (Outcome, [2]*precoding.Transmission) {
 	var tx [2]*precoding.Transmission
 	for i := 0; i < 2; i++ {
 		res := power.Sequential(power.SenderCSI{
@@ -317,7 +343,7 @@ func (ev *Evaluator) EvaluateCOPASeq() (Outcome, error) {
 		tx[i] = res.Tx[0]
 	}
 	oh := ev.Overhead.COPASeqOverhead(ev.Coherence)
-	return ev.outcome(KindCOPASeq, false, false, ev.truthLinks(), ev.estLinks(), tx, oh), nil
+	return ev.score(KindCOPASeq, false, false, ev.truthLinks(), ev.estLinks(), tx, oh), tx
 }
 
 // EvaluateConcBF measures concurrent transmission with beamforming
@@ -328,13 +354,21 @@ func (ev *Evaluator) EvaluateConcBF() (Outcome, error) {
 	if err != nil {
 		return Outcome{}, err
 	}
+	o, tx := ev.concBF(p)
+	ev.remember(KindConcBF, tx)
+	return o, nil
+}
+
+// concBF scores joint Equi-SINR allocation over beamforming precoders
+// with both senders on the air.
+func (ev *Evaluator) concBF(p [2]*precoding.Precoder) (Outcome, [2]*precoding.Transmission) {
 	res := power.Concurrent([2]power.SenderCSI{
 		{Own: ev.Est[0][0], Cross: ev.Est[0][1], Precoder: p[0], BudgetMW: ev.budgetMW()},
 		{Own: ev.Est[1][1], Cross: ev.Est[1][0], Precoder: p[1], BudgetMW: ev.budgetMW()},
 	}, ev.Alloc)
 	tx := [2]*precoding.Transmission{res.Tx[0], res.Tx[1]}
 	oh := ev.Overhead.COPAConcOverhead(ev.Coherence)
-	return ev.outcome(KindConcBF, true, false, ev.truthLinks(), ev.estLinks(), tx, oh), nil
+	return ev.score(KindConcBF, true, false, ev.truthLinks(), ev.estLinks(), tx, oh), tx
 }
 
 // ErrNullingInfeasible is returned when no nulling configuration exists
@@ -447,6 +481,14 @@ func (ev *Evaluator) evaluateNullVariant(kind Kind, follower int) (Outcome, erro
 	if err != nil {
 		return Outcome{}, err
 	}
+	o, tx := ev.nullVariant(kind, st)
+	ev.remember(kind, tx)
+	return o, nil
+}
+
+// nullVariant scores one follower designation's nulling state with
+// equal power (KindNull) or joint allocation (KindConcNull).
+func (ev *Evaluator) nullVariant(kind Kind, st *nullingState) (Outcome, [2]*precoding.Transmission) {
 	plan, truth, est, p := st.plan, st.truth, st.est, st.p
 	var tx [2]*precoding.Transmission
 	if kind == KindNull {
@@ -459,7 +501,7 @@ func (ev *Evaluator) evaluateNullVariant(kind Kind, follower int) (Outcome, erro
 		tx = [2]*precoding.Transmission{res.Tx[0], res.Tx[1]}
 	}
 	oh := ev.Overhead.COPAConcOverhead(ev.Coherence)
-	return ev.outcome(kind, true, plan.sdaOn >= 0, truth, est, tx, oh), nil
+	return ev.score(kind, true, plan.sdaOn >= 0, truth, est, tx, oh), tx
 }
 
 // averageOutcomes merges the two follower designations of an SDA
@@ -493,34 +535,4 @@ func (ev *Evaluator) EvaluateNulling(kind Kind) (Outcome, error) {
 		return a, nil // fall back to the single feasible designation
 	}
 	return averageOutcomes(a, b), nil
-}
-
-// EvaluateAll runs every strategy applicable to the scenario and returns
-// the outcomes by kind. Infeasible strategies (nulling for single-antenna
-// APs) are simply absent.
-func (ev *Evaluator) EvaluateAll() (map[Kind]Outcome, error) {
-	defer mEvalAllSeconds.Begin().End()
-	out := make(map[Kind]Outcome)
-	csma, err := ev.EvaluateCSMA()
-	if err != nil {
-		return nil, err
-	}
-	out[KindCSMA] = csma
-	seq, err := ev.EvaluateCOPASeq()
-	if err != nil {
-		return nil, err
-	}
-	out[KindCOPASeq] = seq
-	conc, err := ev.EvaluateConcBF()
-	if err != nil {
-		return nil, err
-	}
-	out[KindConcBF] = conc
-	for _, k := range []Kind{KindNull, KindConcNull} {
-		o, err := ev.EvaluateNulling(k)
-		if err == nil {
-			out[k] = o
-		}
-	}
-	return out, nil
 }

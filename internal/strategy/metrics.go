@@ -31,6 +31,9 @@ var (
 	mNullingInfeasible = obs.C("copa.strategy.nulling_infeasible")
 	// mSelections counts Select invocations across both modes.
 	mSelections = obs.C("copa.strategy.selections")
+	// mHelperTasks counts strategy tasks EvaluateAll ran on borrowed
+	// helper goroutines rather than on the caller's.
+	mHelperTasks = obs.C("copa.strategy.helper_tasks")
 )
 
 func init() {
