@@ -146,13 +146,26 @@ func iterate(senders []SenderCSI, cfg Config) *Result {
 	// Working transmissions over ping-pong power grids: tx[i] reads from
 	// cur[i] while the Jacobi step writes next[i], so the workspace can be
 	// reset at every iteration boundary without touching live powers.
+	// coefs[i] holds the SINR coefficients of tx[i], which the snapshot
+	// pass that scored the state leaves for the next sweep. best owns its
+	// powers and transmissions from the start; an improvement overwrites
+	// them in place, since only the final best is returned.
 	tx := make([]*precoding.Transmission, n)
 	cur := make([][][]float64, n)
 	next := make([][][]float64, n)
+	coefs := make([][][]float64, n)
+	best := &Result{
+		Tx:          make([]*precoding.Transmission, n),
+		StreamRates: make([][]ofdm.StreamRate, n),
+		Goodput:     make([]float64, n),
+	}
 	for i, s := range senders {
 		streams := s.Precoder.Streams
 		cur[i] = newPowerGrid(nSC, streams)
 		next[i] = newPowerGrid(nSC, streams)
+		coefs[i] = newPowerGrid(nSC, streams)
+		best.Tx[i] = &precoding.Transmission{Precoder: s.Precoder, PowerMW: newPowerGrid(nSC, streams), TxNoiseVarMW: make([]float64, nSC)}
+		best.StreamRates[i] = make([]ofdm.StreamRate, streams)
 		// Equal split start (the paper's assumption about the other
 		// sender's initial behaviour); same arithmetic as EqualSplit.
 		per := s.BudgetMW / float64(nSC*streams)
@@ -191,39 +204,45 @@ func iterate(senders []SenderCSI, cfg Config) *Result {
 		return senders[j].Cross, tx[j]
 	}
 
-	evaluate := func() ([][]ofdm.StreamRate, []float64) {
-		rates := make([][]ofdm.StreamRate, n)
-		goodput := make([]float64, n)
+	sinrs := make([][][]float64, n)
+	goodput := make([]float64, n)
+	// snapshot scores the current state with one SINR pass per sender and
+	// keeps it if it beats the best so far. The same pass leaves the
+	// state's SINR coefficients in coefs unless no sweep can follow.
+	snapshot := func(iter int, converged bool) (improved bool) {
+		withCoefs := iter < cfg.MaxIters && !converged
+		var agg float64
 		for i, s := range senders {
 			cl, ct := crossFor(i)
-			rates[i] = StreamRatesForWS(ws, s.Own, tx[i], cl, ct, cfg.NoisePerSCMW)
+			var dst [][]float64
+			if withCoefs {
+				dst = coefs[i]
+			}
+			sinrs[i] = precoding.StreamSINRsAndCoefficientsWS(ws, s.Own, tx[i], cl, ct, cfg.NoisePerSCMW, dst)
 			// Score with the joint (single-MCS-across-streams) rate the
 			// client will actually decode at.
-			goodput[i] = GoodputForWS(ws, s.Own, tx[i], cl, ct, cfg.NoisePerSCMW)
+			goodput[i] = ofdm.JointBestRate(sinrs[i]).GoodputBps
 		}
-		return rates, goodput
-	}
-
-	best := &Result{}
-	snapshot := func(iter int, converged bool) (improved bool) {
-		rates, goodput := evaluate()
-		var agg float64
 		for _, g := range goodput {
 			agg += g
 		}
-		if best.Tx == nil || agg > best.Aggregate() {
+		if iter == 0 || agg > best.Aggregate() {
 			improved = true
-			cp := make([]*precoding.Transmission, n)
-			for i := range tx {
-				powers := make([][]float64, nSC)
-				for k := range powers {
-					powers[k] = append([]float64(nil), tx[i].PowerMW[k]...)
+			col := ws.Float64s(nSC)
+			for i, b := range best.Tx {
+				for k, row := range tx[i].PowerMW {
+					copy(b.PowerMW[k], row)
 				}
-				cp[i] = precoding.NewTransmission(senders[i].Precoder, powers, cfg.Impairments)
+				copy(b.TxNoiseVarMW, tx[i].TxNoiseVarMW)
+				// Per-stream rates are only reported for the best state.
+				for st := range best.StreamRates[i] {
+					for k, row := range sinrs[i] {
+						col[k] = row[st]
+					}
+					best.StreamRates[i][st] = ofdm.BestRate(col)
+				}
 			}
-			best.Tx = cp
-			best.StreamRates = rates
-			best.Goodput = goodput
+			copy(best.Goodput, goodput)
 		}
 		best.Iterations = iter
 		best.Converged = converged
@@ -233,24 +252,22 @@ func iterate(senders []SenderCSI, cfg Config) *Result {
 	sinceBest := 0
 
 	for iter := 1; iter <= cfg.MaxIters; iter++ {
-		// Everything carved last iteration (coefs, SINR scratch, inner
-		// allocations) is dead: live powers sit in cur/next and best holds
-		// deep copies.
+		// Everything carved last iteration (SINR scratch, inner
+		// allocations) is dead: live powers sit in cur/next, the current
+		// state's coefficients in coefs, and best holds its own copies.
 		ws.Reset()
 		// Jacobi step: every stream of every sender re-allocates against
 		// the interference of the *current* state; all updates then land
 		// together.
 		var maxDelta float64
 		for i, s := range senders {
-			cl, ct := crossFor(i)
-			coefs := precoding.SINRCoefficientsWS(ws, s.Own, tx[i], cl, ct, cfg.NoisePerSCMW)
 			streams := s.Precoder.Streams
 			perStream := s.BudgetMW / float64(streams)
 			np := next[i]
 			col := ws.Float64s(nSC)
 			for st := 0; st < streams; st++ {
-				for k := range coefs {
-					col[k] = coefs[k][st]
+				for k, row := range coefs[i] {
+					col[k] = row[st]
 				}
 				var alloc Allocation
 				switch {

@@ -6,25 +6,6 @@ import (
 	"copa/internal/precoding"
 )
 
-// StreamRatesForWS predicts the per-stream 802.11 rates a client achieves
-// for a given pair of concurrent transmissions: it computes post-MMSE
-// per-subcarrier SINRs over the supplied channels and picks the best MCS
-// per stream. cross/crossTx may be nil for a sole sender. The returned
-// slice is heap-allocated and safe to retain; only the intermediate SINR
-// matrices are carved from ws.
-func StreamRatesForWS(ws *precoding.Workspace, own *channel.Link, tx *precoding.Transmission, cross *channel.Link, crossTx *precoding.Transmission, noisePerSCMW float64) []ofdm.StreamRate {
-	sinrs := precoding.StreamSINRsWS(ws, own, tx, cross, crossTx, noisePerSCMW)
-	rates := make([]ofdm.StreamRate, tx.Precoder.Streams)
-	col := ws.Float64s(len(sinrs))
-	for s := range rates {
-		for k := range sinrs {
-			col[k] = sinrs[k][s]
-		}
-		rates[s] = ofdm.BestRate(col)
-	}
-	return rates
-}
-
 // ClientRateFor predicts the whole transmission's rate at a client under
 // 802.11n's equal-modulation constraint: a single MCS and decoder span
 // all spatial streams, so every used subcarrier–stream cell feeds one
