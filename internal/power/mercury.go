@@ -270,13 +270,22 @@ func MercuryWaterfill(m ofdm.Modulation, coef []float64, budgetMW float64) Alloc
 		}
 	}
 	t := tableFor(m)
-	// λ → 0 spends everything available; λ → gmax spends nothing.
+	// λ → 0 spends everything available; λ → gmax spends nothing. Each
+	// probe's (lo, hi) is a pure function of the last, so once a probe
+	// leaves both unchanged every later one would too: stopping there
+	// gives the 64-probe result exactly.
 	lo, hi := gmax*1e-15, gmax
 	for i := 0; i < 64; i++ {
 		mid := math.Sqrt(lo * hi) // geometric bisection: λ spans decades
 		if mercurySpend(t, coef, mid, nil) > budgetMW {
+			if mid == lo {
+				break
+			}
 			lo = mid
 		} else {
+			if mid == hi {
+				break
+			}
 			hi = mid
 		}
 	}

@@ -160,3 +160,48 @@ func pamMMSEOracle(points []float64, gamma float64) float64 {
 	}
 	return integral
 }
+
+// mercuryWaterfill64 is MercuryWaterfill with the water-level bisection
+// always running all 64 probes: the reference for its fixed-point exit.
+// Inputs with no positive finite coefficient never reach the bisection
+// and are passed through.
+func mercuryWaterfill64(m ofdm.Modulation, coef []float64, budgetMW float64) Allocation {
+	gmax := 0.0
+	for _, g := range coef {
+		if finite(g) {
+			gmax = math.Max(gmax, g)
+		}
+	}
+	if gmax <= 0 {
+		return MercuryWaterfill(m, coef, budgetMW)
+	}
+	t := tableFor(m)
+	lo, hi := gmax*1e-15, gmax
+	for i := 0; i < 64; i++ {
+		mid := math.Sqrt(lo * hi)
+		if mercurySpend(t, coef, mid, nil) > budgetMW {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	powers := make([]float64, len(coef))
+	total := mercurySpend(t, coef, math.Sqrt(lo*hi), powers)
+	if total > 0 {
+		scale := budgetMW / total
+		for k := range powers {
+			powers[k] *= scale
+		}
+	}
+	dropped := 0
+	for _, p := range powers {
+		if p <= 0 {
+			dropped++
+		}
+	}
+	return Allocation{
+		PowerMW: powers,
+		Rate:    ofdm.BestRate(predictedSINRs(powers, coef)),
+		Dropped: dropped,
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"copa/internal/channel"
 	"copa/internal/ofdm"
 	"copa/internal/precoding"
+	"copa/internal/rng"
 )
 
 // mercuryEquivTol is the kernel-tolerance tier's relative bound (DESIGN
@@ -218,5 +219,53 @@ func TestMercuryWaterfillAllocs(t *testing.T) {
 	MercuryWaterfill(ofdm.QAM16, coef, 31.6) // build the tables
 	if n := testing.AllocsPerRun(5, func() { MercuryWaterfill(ofdm.QAM16, coef, 31.6) }); n > 2 {
 		t.Errorf("MercuryWaterfill allocates %v times per call, want ≤ 2", n)
+	}
+}
+
+// TestMercuryWaterfillFixedPointExit checks that stopping the water-level
+// bisection once a probe leaves (lo, hi) unchanged gives the 64-probe
+// Allocation bit for bit, over random coefficient vectors spanning many
+// decades, with zero and dead (NaN, ±Inf) subcarriers, all-equal vectors,
+// a coefficient scale whose lower λ bound underflows, and the real 4x2
+// columns.
+func TestMercuryWaterfillFixedPointExit(t *testing.T) {
+	src := rng.New(0x64)
+	var cases [][]float64
+	for i := 0; i < 40; i++ {
+		n := 1 + src.Intn(ofdm.NumSubcarriers)
+		scale := math.Pow(10, -8+16*src.Float64())
+		coef := make([]float64, n)
+		for k := range coef {
+			coef[k] = scale * math.Pow(10, 3*src.Float64()-1.5)
+			switch src.Intn(12) {
+			case 0:
+				coef[k] = 0
+			case 1:
+				coef[k] = math.NaN()
+			case 2:
+				coef[k] = math.Inf(1 - 2*src.Intn(2))
+			}
+		}
+		cases = append(cases, coef)
+	}
+	deadOne := flatCoefs(5, 8)
+	deadOne[2] = math.NaN()
+	cases = append(cases, flatCoefs(2, 52), flatCoefs(1e-300, 52), flatCoefs(3e7, 1), deadOne)
+	cols, _ := real4x2Columns(t)
+	cases = append(cases, cols...)
+	for c, coef := range cases {
+		for _, budget := range []float64{1e-3, 31.6, 1e4} {
+			for _, m := range constellations {
+				got, want := MercuryWaterfill(m, coef, budget), mercuryWaterfill64(m, coef, budget)
+				if got.Rate != want.Rate || got.Dropped != want.Dropped || len(got.PowerMW) != len(want.PowerMW) {
+					t.Fatalf("case %d %v budget %v: rate/dropped %+v/%d, 64 probes %+v/%d", c, m, budget, got.Rate, got.Dropped, want.Rate, want.Dropped)
+				}
+				for k := range got.PowerMW {
+					if math.Float64bits(got.PowerMW[k]) != math.Float64bits(want.PowerMW[k]) {
+						t.Fatalf("case %d %v budget %v sc %d: power %v, 64 probes %v", c, m, budget, k, got.PowerMW[k], want.PowerMW[k])
+					}
+				}
+			}
+		}
 	}
 }
