@@ -118,8 +118,8 @@ drift-smoke:
 	$(GO) run ./cmd/copacampaign -mobility -topologies 2 -duration 60ms -drift-thresholds 1 -q
 
 # fuzz campaigns the wire-format parsers, the request-path parsers
-# (allocate JSON bodies, traceparent headers) and the campaign
-# checkpoint reader. go test accepts one -fuzz target per invocation,
+# (allocate JSON bodies, traceparent headers, a peer's binary trace
+# field) and the campaign checkpoint reader. go test accepts one -fuzz target per invocation,
 # so each package:target pair runs in turn; every target runs even
 # after one fails, the failures are listed, and the exit status is
 # non-zero if any failed. FUZZTIME=2m make fuzz for a longer run.
@@ -129,13 +129,16 @@ fuzz:
 		./internal/mac:FuzzITSInitParse \
 		./internal/mac:FuzzITSReqParse \
 		./internal/mac:FuzzITSAckParse \
+		./internal/mac:FuzzUnmarshalSubcarrierMap \
 		./internal/csi:FuzzDecodeMatrices \
 		./internal/csi:FuzzDecodeDelta \
+		./internal/csi:FuzzDecodeLink \
 		./internal/campaign:FuzzLoadJournal \
 		./internal/api:FuzzDecodeRequestBinary \
 		./internal/api:FuzzDecodeResponseBinary \
 		./internal/api:FuzzParseRequestJSON \
-		./internal/obs:FuzzParseTraceparent; \
+		./internal/obs:FuzzParseTraceparent \
+		./internal/obs:FuzzContextWithRemoteBinary; \
 	do \
 		pkg=$${t%%:*}; name=$${t##*:}; \
 		echo "fuzz: $$name ($$pkg)"; \

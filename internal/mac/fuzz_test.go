@@ -2,7 +2,10 @@ package mac
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
+
+	"copa/internal/ofdm"
 )
 
 // Native fuzz targets for the wire-format parsers: any byte string must
@@ -93,4 +96,57 @@ func FuzzITSAckParse(f *testing.F) {
 			t.Fatalf("accepted frame does not round-trip")
 		}
 	})
+}
+
+// FuzzUnmarshalSubcarrierMap: any byte string must fail cleanly or
+// parse to a map that marshals back to the same bytes, and the parser's
+// allocations must not grow with the input (the map has a fixed size, so
+// a long frame must be refused, not copied).
+func FuzzUnmarshalSubcarrierMap(f *testing.F) {
+	used := make([]bool, ofdm.NumSubcarriers)
+	for k := range used {
+		used[k] = k%3 != 0
+	}
+	m, err := NewSubcarrierMap(used)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(m.Marshal())
+	f.Add(m.Marshal()[:len(m)-1])
+	f.Add(append(m.Marshal(), 0))
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xff}, len(m)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var got SubcarrierMap
+		var err error
+		const limit = 1 << 10
+		if n := allocatedBytes(limit, func() { got, err = UnmarshalSubcarrierMap(data) }); n > limit {
+			t.Fatalf("parsing %d bytes allocated %d bytes", len(data), n)
+		}
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(got.Marshal(), data) {
+			t.Fatalf("accepted map %x marshals to %x", data, got.Marshal())
+		}
+		if c := got.Count(); c < 0 || c > ofdm.NumSubcarriers {
+			t.Fatalf("count %d", c)
+		}
+	})
+}
+
+// allocatedBytes returns the heap bytes fn allocates. TotalAlloc is
+// process-wide and the fuzzing engine allocates on its own goroutines,
+// so a reading above limit is retried and the least of three kept: a
+// parser that really over-allocates does so on every run.
+func allocatedBytes(limit uint64, fn func()) uint64 {
+	least := ^uint64(0)
+	for i := 0; i < 3 && least > limit; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }

@@ -1,9 +1,11 @@
 package obs
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/http"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -358,4 +360,58 @@ func FuzzParseTraceparent(f *testing.F) {
 			t.Fatalf("%q parsed to %+v, rendered %q, re-parsed to %+v (ok=%v)", v, sc, out, back, ok)
 		}
 	})
+}
+
+// FuzzContextWithRemoteBinary fuzzes the trace field an ITS INIT carries
+// from a peer: no input panics; a rejected field leaves the parent
+// context as it was; an accepted one yields a sampled span that encodes
+// back to the same bytes and does not alias the frame; and the parser's
+// allocations do not grow with the input.
+func FuzzContextWithRemoteBinary(f *testing.F) {
+	sc := SpanContext{TraceID: TraceID{1, 2, 3}, SpanID: SpanID{4, 5, 6}, Sampled: true}
+	good := TraceContextBinary(ContextWithSpan(context.Background(), sc))
+	f.Add(good)
+	f.Add(good[:len(good)-1])
+	f.Add(append(append([]byte(nil), good...), 0))
+	f.Add(append([]byte{1}, good[1:]...))
+	f.Add(make([]byte, traceCtxBinaryLen))
+	f.Add([]byte{})
+	parent := ContextWithSpan(context.Background(), SpanContext{TraceID: TraceID{9}, SpanID: SpanID{9}, Sampled: true})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		frame := append([]byte(nil), data...)
+		var out context.Context
+		const limit = 1 << 10
+		if n := allocatedBytes(limit, func() { out = ContextWithRemoteBinary(parent, frame) }); n > limit {
+			t.Fatalf("parsing %d bytes allocated %d bytes", len(data), n)
+		}
+		if out == parent {
+			return
+		}
+		got, ok := SpanFromContext(out)
+		if !ok || !got.Valid() || !got.Sampled {
+			t.Fatalf("accepted field %x gave span %+v (ok=%v)", data, got, ok)
+		}
+		for i := range frame {
+			frame[i] ^= 0xff
+		}
+		if enc := TraceContextBinary(out); !bytes.Equal(enc, data) {
+			t.Fatalf("accepted field %x encodes back to %x", data, enc)
+		}
+	})
+}
+
+// allocatedBytes returns the heap bytes fn allocates. TotalAlloc is
+// process-wide and the fuzzing engine allocates on its own goroutines,
+// so a reading above limit is retried and the least of three kept: a
+// parser that really over-allocates does so on every run.
+func allocatedBytes(limit uint64, fn func()) uint64 {
+	least := ^uint64(0)
+	for i := 0; i < 3 && least > limit; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }
