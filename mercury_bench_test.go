@@ -1,6 +1,7 @@
 package copa
 
 import (
+	"sync"
 	"testing"
 
 	"copa/internal/channel"
@@ -21,9 +22,14 @@ func BenchmarkMercuryBest4x2(b *testing.B) {
 	dep := channel.DeploymentAt(benchSeed, channel.Scenario4x2, 0)
 	ev := strategy.NewEvaluator(dep, channel.DefaultImpairments(), rng.New(benchSeed))
 	ev.Alloc.MaxIters = 3
+	// EvaluateAll may run strategies on helper goroutines, so the
+	// collector locks: an unguarded append loses columns at random.
+	var mu sync.Mutex
 	ev.Alloc.Inner = func(coef []float64, budgetMW float64) power.Allocation {
+		mu.Lock()
 		cols = append(cols, append([]float64(nil), coef...))
 		budgets = append(budgets, budgetMW)
+		mu.Unlock()
 		return power.MercuryBest(coef, budgetMW)
 	}
 	if _, err := ev.EvaluateAll(); err != nil {
