@@ -15,7 +15,7 @@
 // All single-stream allocators work on a vector of per-subcarrier SINR
 // coefficients: coef[k] is the linear SINR stream power p_k buys per
 // milliwatt on subcarrier k with everything else held fixed (see
-// precoding.SINRCoefficients).
+// precoding.StreamSINRsAndCoefficientsWS).
 package power
 
 import (
