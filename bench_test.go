@@ -11,10 +11,12 @@ package copa
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"copa/internal/campaign"
 	"copa/internal/channel"
 	"copa/internal/power"
 	"copa/internal/rng"
@@ -94,7 +96,7 @@ func BenchmarkFigure4(b *testing.B) {
 		f := testbed.RunFigure4(benchSeed)
 		mean := func(xs []float64) float64 { return testbed.Mean(xs) }
 		fmt.Printf("\n[Figure 4] per-subcarrier means: SNR-BF %.1f dB, SNR-Null %.1f dB, SINR-Null %.1f dB (min %.1f)\n",
-			mean(f.SNRBFDB), mean(f.SNRNullDB), mean(f.SINRNullDB), testbed.Percentile(f.SINRNullDB, 0))
+			mean(f.SNRBFDB), mean(f.SNRNullDB), mean(f.SINRNullDB), slices.Min(f.SINRNullDB))
 	})
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -148,7 +150,7 @@ func BenchmarkFigure9(b *testing.B) {
 			}
 		}
 		fmt.Printf("\n[Figure 9] topology scatter: signal %.0f…%.0f dBm; interference below signal at %d/%d clients (paper: most, not all)\n",
-			testbed.Percentile(f.SignalDBm, 0), testbed.Percentile(f.SignalDBm, 100),
+			slices.Min(f.SignalDBm), slices.Max(f.SignalDBm),
 			below, len(f.SignalDBm))
 	})
 	b.ReportAllocs()
@@ -171,16 +173,12 @@ func scenarioBench(b *testing.B, key, label string, sc channel.Scenario, deltaDB
 			return
 		}
 		fmt.Printf("\n[%s] mean aggregate throughput, %d topologies:\n", label, benchTopologies)
-		for _, scheme := range testbed.AllSchemes {
-			vals, ok := res.PerTopology[scheme]
-			if !ok {
-				continue
-			}
+		for _, row := range testbed.CampaignSummary(res, campaign.DefaultProfile, 0) {
 			ref := ""
-			if p, ok := paper[scheme]; ok {
+			if p, ok := paper[row.Scheme]; ok {
 				ref = fmt.Sprintf("   [paper %.1f]", p)
 			}
-			fmt.Printf("  %-10s %6.1f Mb/s%s\n", scheme, testbed.Mean(vals)/1e6, ref)
+			fmt.Printf("  %-10s %6.1f Mb/s%s\n", row.Scheme, row.MeanBps/1e6, ref)
 		}
 	})
 	timeOneTopology(b, sc)
@@ -244,7 +242,7 @@ func BenchmarkHeadlines(b *testing.B) {
 			fmt.Printf("headlines: %v\n", err)
 			return
 		}
-		hs := testbed.Headlines(res)
+		hs := testbed.Headlines(res, campaign.DefaultProfile, 0)
 		fmt.Printf("\n[§1 headlines] Null loses to CSMA %.0f%% (paper 83%%) · COPA over Null %+0.0f%% (paper +64%%) · COPA beats CSMA %.0f%% (paper 76%%)\n",
 			hs.NullLosesToCSMA*100, hs.COPAOverNullWhereNullLoses*100, hs.COPABeatsCSMAWhereNullLoses*100)
 	})
@@ -368,8 +366,8 @@ func BenchmarkAblationFairness(b *testing.B) {
 			if err != nil {
 				continue
 			}
-			max := testbed.Mean(res.PerTopology[testbed.SchemeCOPA])
-			fair := testbed.Mean(res.PerTopology[testbed.SchemeCOPAFair])
+			max := res.SchemeColumn(campaign.DefaultProfile, 0, testbed.SchemeCOPA).Mean
+			fair := res.SchemeColumn(campaign.DefaultProfile, 0, testbed.SchemeCOPAFair).Mean
 			lines += fmt.Sprintf("  %-4s COPA %.1f vs fair %.1f Mb/s (price %.1f%%)\n",
 				sc.Name, max/1e6, fair/1e6, (1-fair/max)*100)
 		}

@@ -186,10 +186,7 @@ func printSummary(w *os.File, res *campaign.Result) {
 		for age := 0; age < res.Spec.AgeBuckets; age++ {
 			fmt.Fprintf(w, "%s (%s, profile %s, age %d/%d) — %d topologies\n",
 				res.Spec.Scenario.Name, modeLabel(res.Spec), prof.Name, age, res.Spec.AgeBuckets, res.Spec.Topologies)
-			for _, row := range testbed.CampaignSummary(res, prof.Name, age) {
-				fmt.Fprintf(w, "  %-10s  mean %6.1f Mb/s   p10 %6.1f   median %6.1f   p90 %6.1f\n",
-					row.Scheme, row.MeanBps/1e6, row.P10Bps/1e6, row.MedianBps/1e6, row.P90Bps/1e6)
-			}
+			testbed.WriteSummary(w, res, prof.Name, age)
 		}
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"runtime"
@@ -30,6 +31,7 @@ import (
 	"strings"
 	"syscall"
 
+	"copa/internal/campaign"
 	"copa/internal/channel"
 	"copa/internal/cliflags"
 	"copa/internal/obs"
@@ -109,7 +111,8 @@ func run(args []string) int {
 
 	// One trace per invocation: cli.sim is the root, and each figure run
 	// is a timed cli.sim.figure child that the harness's own spans
-	// (testbed.scenario, testbed.figure14, ...) nest under.
+	// (campaign.run and its campaign.unit children, testbed.figure14,
+	// ...) nest under.
 	ctx, root := obs.StartSpan(ctx, "cli.sim")
 	defer root.End()
 
@@ -205,8 +208,9 @@ type opts struct {
 	loss, burst float64
 	mob         *cliflags.MobilityFlags
 	skipPlus    bool
-	// workers bounds scenario-harness parallelism (0 = GOMAXPROCS). It
-	// never changes results, only wall time.
+	// workers is the campaign worker count of Figs. 10–13 and the
+	// headlines (0 = GOMAXPROCS). It never changes results, only wall
+	// time.
 	workers int
 	// out, when non-empty, receives a CSV per printed figure and
 	// report.html; report is nil without it.
@@ -307,20 +311,8 @@ func scenarioFigure(fig int, name string, sc channel.Scenario, deltaDB float64) 
 		}
 		o.report.scenario(fig, res)
 		fmt.Printf("%s — mean aggregate throughput over %d topologies\n", name, o.topologies)
-		for _, scheme := range testbed.AllSchemes {
-			vals, ok := res.PerTopology[scheme]
-			if !ok {
-				continue
-			}
-			fmt.Printf("  %-10s  mean %6.1f Mb/s   p10 %6.1f   median %6.1f   p90 %6.1f\n",
-				scheme, testbed.Mean(vals)/1e6, testbed.Percentile(vals, 10)/1e6,
-				testbed.Median(vals)/1e6, testbed.Percentile(vals, 90)/1e6)
-		}
-		slug := fmt.Sprintf("fig_%s_%+.0fdB.csv", sc.Name, deltaDB)
-		if deltaDB == 0 {
-			slug = fmt.Sprintf("fig_%s.csv", sc.Name)
-		}
-		return o.export(func(dir string) error { return res.ExportCSV(dir, slug) })
+		testbed.WriteSummary(os.Stdout, res, campaign.DefaultProfile, 0)
+		return o.export(func(dir string) error { return testbed.ExportCampaignCSV(dir, res) })
 	}
 }
 
@@ -435,14 +427,23 @@ func printHeadlines(ctx context.Context, o *opts) error {
 	if err != nil {
 		return err
 	}
-	hs := testbed.Headlines(res)
-	fmt.Printf("Null loses to CSMA           : %5.1f%%  [paper: 83%%]\n", hs.NullLosesToCSMA*100)
-	fmt.Printf("COPA over Null (where loses) : %+5.1f%%  [paper: +64%%]\n", hs.COPAOverNullWhereNullLoses*100)
-	fmt.Printf("COPA beats CSMA (same set)   : %5.1f%%  [paper: 76%%]\n", hs.COPABeatsCSMAWhereNullLoses*100)
-	fmt.Printf("Null win median (where wins) : %+5.1f%%  [paper: +12%%]\n", hs.NullWinMedian*100)
-	fmt.Printf("COPA win median (same set)   : %+5.1f%%  [paper: +45%%]\n", hs.COPAWinMedianWhereNullWins*100)
-	fmt.Printf("price of fairness            : %5.1f%%  [paper: ≈3–6%%]\n", hs.PriceOfFairness*100)
+	hs := testbed.Headlines(res, campaign.DefaultProfile, 0)
+	fmt.Printf("Null loses to CSMA           : %s  [paper: 83%%]\n", pct("%5.1f", hs.NullLosesToCSMA))
+	fmt.Printf("COPA over Null (where loses) : %s  [paper: +64%%]\n", pct("%+5.1f", hs.COPAOverNullWhereNullLoses))
+	fmt.Printf("COPA beats CSMA (same set)   : %s  [paper: 76%%]\n", pct("%5.1f", hs.COPABeatsCSMAWhereNullLoses))
+	fmt.Printf("Null win median (where wins) : %s  [paper: +12%%]\n", pct("%+5.1f", hs.NullWinMedian))
+	fmt.Printf("COPA win median (same set)   : %s  [paper: +45%%]\n", pct("%+5.1f", hs.COPAWinMedianWhereNullWins))
+	fmt.Printf("price of fairness            : %s  [paper: ≈3–6%%]\n", pct("%5.1f", hs.PriceOfFairness))
 	return nil
+}
+
+// pct formats a fraction as a percentage, or as n/a when it is NaN (a
+// headline statistic whose conditioning set is empty).
+func pct(format string, v float64) string {
+	if math.IsNaN(v) {
+		return "  n/a"
+	}
+	return fmt.Sprintf(format+"%%", v*100)
 }
 
 func printMobility(ctx context.Context, o *opts) error {

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
+	"copa/internal/campaign"
 	"copa/internal/mac"
 	"copa/internal/testbed"
 	"copa/internal/viz"
@@ -160,18 +160,14 @@ var scenarioSections = map[int]struct{ section, chart string }{
 
 // scenario renders one of Figs. 10–13: a throughput CDF per scheme and
 // the per-scheme means next to the paper's.
-func (r *report) scenario(fig int, res *testbed.ScenarioResult) {
+func (r *report) scenario(fig int, res *campaign.Result) {
 	titles := scenarioSections[fig]
 	r.section(titles.section, func(b *strings.Builder) {
+		rows := testbed.CampaignSummary(res, campaign.DefaultProfile, 0)
 		ch := viz.Chart{Title: titles.chart, XLabel: "aggregate throughput (Mb/s)", YLabel: "CDF"}
-		schemes := make([]string, 0, len(res.PerTopology))
-		for s := range res.PerTopology {
-			schemes = append(schemes, s)
-		}
-		sort.Strings(schemes)
-		for _, scheme := range schemes {
-			s := viz.Series{Name: scheme, Step: true}
-			for _, pt := range testbed.CDF(res.PerTopology[scheme]) {
+		for _, row := range rows {
+			s := viz.Series{Name: row.Scheme, Step: true}
+			for _, pt := range testbed.CampaignCDF(res, campaign.ColumnName(campaign.DefaultProfile, 0, row.Scheme)) {
 				s.X = append(s.X, pt.Value/1e6)
 				s.Y = append(s.Y, pt.P)
 			}
@@ -179,17 +175,13 @@ func (r *report) scenario(fig int, res *testbed.ScenarioResult) {
 		}
 		b.WriteString(ch.SVG())
 		b.WriteString(`<table><tr><th>scheme</th><th>mean (Mb/s)</th><th class="paper">paper</th></tr>`)
-		for _, scheme := range testbed.AllSchemes {
-			vals, ok := res.PerTopology[scheme]
-			if !ok {
-				continue
-			}
+		for _, row := range rows {
 			ref := "—"
-			if p, ok := testbed.PaperMeansMbps[fig][scheme]; ok {
+			if p, ok := testbed.PaperMeansMbps[fig][row.Scheme]; ok {
 				ref = fmt.Sprintf("%.1f", p)
 			}
 			fmt.Fprintf(b, `<tr><td>%s</td><td>%.1f</td><td class="paper">%s</td></tr>`,
-				scheme, testbed.Mean(vals)/1e6, ref)
+				row.Scheme, row.MeanBps/1e6, ref)
 		}
 		b.WriteString(`</table>`)
 	})

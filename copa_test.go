@@ -163,7 +163,7 @@ func TestFacadeExperimentHarness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := Headlines(res)
+	hs := Headlines(res, ScenarioProfile, 0)
 	if hs.NullLosesToCSMA < 0 || hs.NullLosesToCSMA > 1 {
 		t.Error("headline fraction out of range")
 	}

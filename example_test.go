@@ -84,7 +84,7 @@ func ExampleMetrics() {
 	}
 
 	m := copa.Metrics()
-	fmt.Println("topologies evaluated:", m.Counters["copa.testbed.topologies"] >= 2)
+	fmt.Println("topologies evaluated:", m.Counters["copa.campaign.topologies"] >= 2)
 
 	// Equi-SINR iteration counts (Fig. 6 loop) as a distribution.
 	iters := m.Histograms["copa.power.alloc_iters"]

@@ -32,25 +32,31 @@ func main() {
 		copa.SchemeCSMA, copa.SchemeCOPASeq, copa.SchemeNull,
 		copa.SchemeCOPAFair, copa.SchemeCOPA,
 	} {
-		vals, ok := res.PerTopology[scheme]
-		if !ok {
+		col := res.SchemeColumn(copa.ScenarioProfile, 0, scheme)
+		if col == nil {
 			continue
 		}
 		fmt.Printf("  %-10s", scheme)
-		for _, p := range []float64{10, 25, 50, 75, 90} {
-			fmt.Printf(" %6.1f", copa.Percentile(vals, p)/1e6)
+		for _, q := range []float64{0.10, 0.25, 0.50, 0.75, 0.90} {
+			fmt.Printf(" %6.1f", col.Sketch.Quantile(q)/1e6)
 		}
-		fmt.Printf(" %6.1f\n", copa.Mean(vals)/1e6)
+		fmt.Printf(" %6.1f\n", col.Mean/1e6)
 	}
 
-	// A poor man's CDF sparkline for the two headline schemes.
+	// A poor man's CDF sparkline for the two headline schemes: the i-th
+	// of n columns is the sketch's quantile at rank i, i.e. topology i
+	// in sorted order.
 	fmt.Println("\nCDF sketch (each column = one topology, sorted):")
 	for _, scheme := range []string{copa.SchemeCSMA, copa.SchemeNull, copa.SchemeCOPA} {
-		vals := append([]float64(nil), res.PerTopology[scheme]...)
-		fmt.Printf("  %-10s %s\n", scheme, sparkline(vals, 200e6))
+		col := res.SchemeColumn(copa.ScenarioProfile, 0, scheme)
+		sorted := make([]float64, col.N)
+		for i := range sorted {
+			sorted[i] = col.Sketch.Quantile(float64(i) / float64(len(sorted)-1))
+		}
+		fmt.Printf("  %-10s %s\n", scheme, sparkline(sorted, 200e6))
 	}
 
-	hs := copa.Headlines(res)
+	hs := copa.Headlines(res, copa.ScenarioProfile, 0)
 	fmt.Println("\nheadline statistics (paper's §1 claims in brackets):")
 	fmt.Printf("  vanilla nulling loses to CSMA on %.0f%% of topologies [83%%]\n", hs.NullLosesToCSMA*100)
 	fmt.Printf("  on those, COPA improves nulling by %.0f%% on average   [64%%]\n", hs.COPAOverNullWhereNullLoses*100)
@@ -58,17 +64,9 @@ func main() {
 	fmt.Printf("  price of incentive compatibility: %.1f%%                [small]\n", hs.PriceOfFairness*100)
 }
 
-// sparkline renders sorted values as height buckets up to max.
-func sparkline(vals []float64, max float64) string {
+// sparkline renders ascending values as height buckets up to max.
+func sparkline(sorted []float64, max float64) string {
 	ticks := []rune("▁▂▃▄▅▆▇█")
-	sorted := append([]float64(nil), vals...)
-	for i := 0; i < len(sorted); i++ {
-		for j := i + 1; j < len(sorted); j++ {
-			if sorted[j] < sorted[i] {
-				sorted[i], sorted[j] = sorted[j], sorted[i]
-			}
-		}
-	}
 	var b strings.Builder
 	for _, v := range sorted {
 		idx := int(v / max * float64(len(ticks)))

@@ -182,3 +182,56 @@ func FuzzParseRequestJSON(f *testing.F) {
 		}
 	})
 }
+
+// TestMalformedRequestsGet4xx sends the handler bodies and methods no
+// well-behaved client would: each must be answered with a 4xx, never a
+// 5xx, and within a fixed deadline.
+func TestMalformedRequestsGet4xx(t *testing.T) {
+	ts := httptest.NewServer(NewHandler(testServer(t)))
+	defer ts.Close()
+	client := &http.Client{Timeout: 5 * time.Second}
+
+	valid, err := EncodeRequestBinary(AllocateRequest{Scenario: "4x2", Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	badVersion := append([]byte{binaryVersion + 1}, valid[1:]...)
+	oversized := append([]byte(`{"scenario":"4x2","seed":1,"mode":"`), bytes.Repeat([]byte("x"), maxRequestBody)...)
+	oversized = append(oversized, `"}`...)
+
+	for _, c := range []struct {
+		name, method, path, contentType string
+		body                            []byte
+	}{
+		{"truncated JSON", http.MethodPost, "/v1/allocate", ContentTypeJSON, []byte(`{"scenario":"4x2","se`)},
+		{"ill-typed JSON", http.MethodPost, "/v1/allocate", ContentTypeJSON, []byte(`{"scenario":4,"seed":"three"}`)},
+		{"not JSON", http.MethodPost, "/v1/allocate", ContentTypeJSON, []byte("scenario=4x2")},
+		{"empty body", http.MethodPost, "/v1/allocate", ContentTypeJSON, nil},
+		{"unknown scenario", http.MethodPost, "/v1/allocate", ContentTypeJSON, []byte(`{"scenario":"9x9","seed":1}`)},
+		{"unknown mode", http.MethodPost, "/v1/allocate", ContentTypeJSON, []byte(`{"scenario":"4x2","seed":1,"mode":"greedy"}`)},
+		{"body over limit", http.MethodPost, "/v1/allocate", ContentTypeJSON, oversized},
+		{"bad binary version", http.MethodPost, "/v1/allocate", ContentTypeBinary, badVersion},
+		{"truncated binary", http.MethodPost, "/v1/allocate", ContentTypeBinary, valid[:len(valid)/2]},
+		{"JSON under binary type", http.MethodPost, "/v1/allocate", ContentTypeBinary, []byte(`{"scenario":"4x2","seed":1}`)},
+		{"GET allocate", http.MethodGet, "/v1/allocate", "", nil},
+		{"POST healthz", http.MethodPost, "/v1/healthz", ContentTypeJSON, []byte(`{}`)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			req, err := http.NewRequest(c.method, ts.URL+c.path, bytes.NewReader(c.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.contentType != "" {
+				req.Header.Set("Content-Type", c.contentType)
+			}
+			resp, err := client.Do(req)
+			if err != nil {
+				t.Fatalf("no answer within %v: %v", client.Timeout, err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+				t.Errorf("status %d, want 4xx", resp.StatusCode)
+			}
+		})
+	}
+}

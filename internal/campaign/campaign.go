@@ -33,16 +33,17 @@ type Profile struct {
 	Impairments channel.Impairments `json:"impairments"`
 }
 
+// DefaultProfile names the profile of DefaultProfiles.
+const DefaultProfile = "default"
+
 // DefaultProfiles is the single-profile grid matching the paper's
 // WARP-class calibration.
 func DefaultProfiles() []Profile {
-	return []Profile{{Name: "default", Impairments: channel.DefaultImpairments()}}
+	return []Profile{{Name: DefaultProfile, Impairments: channel.DefaultImpairments()}}
 }
 
 // evalSeedXor separates the evaluation-stream family from the
-// deployment-stream family, which derives directly from Seed. Must
-// match internal/testbed's RunScenario for campaign results to be
-// bit-identical with the serial harness.
+// deployment-stream family, which derives directly from Seed.
 const evalSeedXor = 0x5eed
 
 // Spec fully describes a campaign: the scenario space and its

@@ -276,6 +276,20 @@ func TestRunCOPAPlusResumeFromGappedJournal(t *testing.T) {
 	if golden.SchemeColumn("default", 0, SchemeCOPAP) == nil || golden.SchemeColumn("default", 0, SchemeCOPAPF) == nil {
 		t.Fatal("COPA+ columns missing")
 	}
+	// 4x2 has a Null column, so every topology carries the null-loses
+	// indicator, and each lands in exactly one conditional branch.
+	if c := golden.SchemeColumn("default", 0, HeadlineNullLoses); c == nil || c.N != uint64(spec.Topologies) {
+		t.Fatalf("null-loses column %+v, want %d samples", c, spec.Topologies)
+	}
+	var branched uint64
+	for _, name := range []string{HeadlineCOPABeatsCSMA, HeadlineNullWinEdge} {
+		if c := golden.SchemeColumn("default", 0, name); c != nil {
+			branched += c.N
+		}
+	}
+	if branched != uint64(spec.Topologies) {
+		t.Fatalf("headline branches hold %d topologies, want %d", branched, spec.Topologies)
+	}
 	want := marshal(t, golden)
 
 	for _, workers := range []int{1, 2} {
@@ -329,6 +343,25 @@ func TestRunRefusesForeignCheckpoint(t *testing.T) {
 	_, err := Run(context.Background(), other, Options{Checkpoint: ckpt, Resume: true})
 	if err == nil || !strings.Contains(err.Error(), "different campaign spec") {
 		t.Fatalf("error %v, want fingerprint mismatch", err)
+	}
+}
+
+// TestRunRefusesVersion1Journal: a journal written before the headline
+// columns existed names the same spec fingerprint, so only the version
+// keeps a resume from merging its units into columns they never fed.
+func TestRunRefusesVersion1Journal(t *testing.T) {
+	spec := testSpec()
+	ckpt := filepath.Join(t.TempDir(), "campaign.jsonl")
+	hdr, err := json.Marshal(journalHeader{V: 1, Fingerprint: spec.Fingerprint(), Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(ckpt, append(hdr, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Run(context.Background(), spec, Options{Checkpoint: ckpt, Resume: true})
+	if err == nil || !strings.Contains(err.Error(), "version 1, want 2") {
+		t.Fatalf("error %v, want version refusal", err)
 	}
 }
 

@@ -18,8 +18,10 @@ import (
 // died mid-write) is detected and truncated away — everything before
 // it is intact by construction.
 
-// journalVersion guards the on-disk format.
-const journalVersion = 1
+// journalVersion guards the on-disk format. Version 2 units carry the
+// headline columns, so a version-1 journal would resume into columns
+// that lack its units' samples.
+const journalVersion = 2
 
 // journalHeader is the first line of every checkpoint file.
 type journalHeader struct {

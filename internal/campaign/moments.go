@@ -42,7 +42,9 @@ func (m *Moments) Merge(o Moments) {
 	m.N += o.N
 }
 
-// Variance is the population variance (0 below two samples).
+// Variance is the population variance (divisor N, not N−1), so one
+// sample has spread 0; so does an empty accumulator, whose Mean is
+// also 0.
 func (m Moments) Variance() float64 {
 	if m.N < 2 {
 		return 0

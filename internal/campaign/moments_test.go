@@ -95,3 +95,11 @@ func TestMomentsMergeEmpty(t *testing.T) {
 		t.Fatal("merging empty changed the accumulator")
 	}
 }
+
+func TestMomentsOneSampleHasZeroSpread(t *testing.T) {
+	var m Moments
+	m.Add(7)
+	if m.Mean != 7 || m.Variance() != 0 || m.StdDev() != 0 {
+		t.Errorf("one sample: mean %g variance %g std %g, want 7, 0, 0", m.Mean, m.Variance(), m.StdDev())
+	}
+}

@@ -8,10 +8,11 @@ import (
 )
 
 // sketchSubBuckets is the number of log-linear sub-buckets per binary
-// order of magnitude. The relative width of one bucket is
-// 1/(2·sketchSubBuckets) ≈ 0.39%, so any quantile read off the sketch is
-// within ±0.2% (half a bucket, midpoint rule) of some true sample —
-// far below the resolution the figures print at.
+// order of magnitude. A bucket's relative width runs from
+// 1/(2·sketchSubBuckets) ≈ 0.39% at the top of an octave to
+// 1/sketchSubBuckets ≈ 0.78% at its bottom, so any quantile read off
+// the sketch is within 0.39% (half a bucket, midpoint rule) of some
+// true sample — below the resolution the figures print at.
 const sketchSubBuckets = 128
 
 // keyBias shifts encoded magnitude keys away from zero so the sign of
@@ -79,7 +80,7 @@ func bucketMid(key int32) float64 {
 }
 
 // Add folds one sample in. Zero and non-finite values land in the exact
-// bucket (they carry no magnitude information worth 0.4% precision).
+// zero bucket.
 func (s *Sketch) Add(v float64) {
 	if v == 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 		s.zero++
@@ -137,11 +138,12 @@ func (s *Sketch) countOf(key int32) uint64 {
 
 // Quantile returns the q-th quantile (q in [0, 1]) as the midpoint of
 // the bucket holding rank q·(n−1) — within half a bucket's relative
-// width of the exact sample quantile.
+// width of the exact sample quantile. An empty sketch has no quantiles:
+// it returns NaN.
 func (s *Sketch) Quantile(q float64) float64 {
 	n := s.Count()
 	if n == 0 {
-		return 0
+		return math.NaN()
 	}
 	if q < 0 {
 		q = 0
@@ -168,7 +170,8 @@ type CDFPoint struct {
 }
 
 // CDF returns the sketch's cumulative distribution, one point per
-// occupied bucket (value = bucket midpoint, P = fraction ≤ it).
+// occupied bucket (value = bucket midpoint, P = fraction ≤ it), or nil
+// for an empty sketch.
 func (s *Sketch) CDF() []CDFPoint {
 	n := s.Count()
 	if n == 0 {

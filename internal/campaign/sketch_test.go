@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"copa/internal/rng"
 )
@@ -21,7 +22,7 @@ func exactQuantile(sorted []float64, q float64) float64 {
 func TestSketchQuantileAccuracy(t *testing.T) {
 	// The documented bound: any quantile is the midpoint of the bucket
 	// holding the exact nearest-rank sample, so it is within half a
-	// bucket's relative width (1/(2·subBuckets) ≈ 0.4%) of it.
+	// bucket's relative width (at most 1/(2·subBuckets) ≈ 0.39%) of it.
 	src := rng.New(3)
 	const n = 50000
 	xs := make([]float64, n)
@@ -86,6 +87,42 @@ func TestSketchMergeAccuracy(t *testing.T) {
 		if rel := math.Abs(got-want) / math.Abs(want); rel > bound {
 			t.Errorf("q=%.2f: merged %.6g vs exact %.6g (rel %.5f > %.5f)", q, got, want, rel, bound)
 		}
+	}
+}
+
+func TestSketchEmptyQuantileIsNaN(t *testing.T) {
+	sk := NewSketch()
+	for _, q := range []float64{0, 0.5, 1} {
+		if v := sk.Quantile(q); !math.IsNaN(v) {
+			t.Errorf("empty sketch q=%g quantile is %g, not NaN", q, v)
+		}
+	}
+	if pts := sk.CDF(); pts != nil {
+		t.Errorf("empty sketch CDF is %v, not nil", pts)
+	}
+}
+
+// TestQuickSketchQuantileMonotone: quantiles never decrease in q.
+func TestQuickSketchQuantileMonotone(t *testing.T) {
+	f := func(seed int64) bool {
+		sk := NewSketch()
+		x := float64(seed%97) + 1
+		for i := 0; i < 20; i++ {
+			x = math.Mod(x*1.7+3, 100)
+			sk.Add(x)
+		}
+		prev := math.Inf(-1)
+		for q := 0.0; q <= 1; q += 0.1 {
+			v := sk.Quantile(q)
+			if v < prev {
+				return false
+			}
+			prev = v
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
 	}
 }
 

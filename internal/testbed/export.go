@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 )
 
@@ -32,7 +31,6 @@ func writeCSV(dir, name string, rows [][]string) error {
 }
 
 func f1(v float64) string { return strconv.FormatFloat(v, 'f', 1, 64) }
-func f3(v float64) string { return strconv.FormatFloat(v, 'f', 3, 64) }
 func e3(v float64) string { return strconv.FormatFloat(v, 'e', 3, 64) }
 
 // ExportCSV writes fig2.csv: subcarrier, ant1_dbm, ant2_dbm.
@@ -89,24 +87,7 @@ func (f Figure9) ExportCSV(dir string) error {
 	return writeCSV(dir, "fig9.csv", rows)
 }
 
-// ExportCSV writes <name>.csv with the empirical CDF of every scheme:
-// scheme, throughput_mbps, cdf.
-func (r *ScenarioResult) ExportCSV(dir, name string) error {
-	rows := [][]string{{"scheme", "throughput_mbps", "cdf"}}
-	schemes := make([]string, 0, len(r.PerTopology))
-	for s := range r.PerTopology {
-		schemes = append(schemes, s)
-	}
-	sort.Strings(schemes)
-	for _, scheme := range schemes {
-		for _, pt := range CDF(r.PerTopology[scheme]) {
-			rows = append(rows, []string{scheme, f1(pt.Value / 1e6), f3(pt.P)})
-		}
-	}
-	return writeCSV(dir, name, rows)
-}
-
-// ExportCSV writes table1.csv.
+// ExportTable1CSV writes table1.csv.
 func ExportTable1CSV(dir string) error {
 	rows := [][]string{{"coherence_ms", "copa_conc_pct", "copa_seq_pct", "csma_cts_pct", "csma_rts_pct"}}
 	for _, r := range Table1() {

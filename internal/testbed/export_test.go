@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"testing"
 
+	"copa/internal/campaign"
 	"copa/internal/channel"
 	"copa/internal/ofdm"
 )
@@ -75,6 +76,8 @@ func TestExportFigureCSVs(t *testing.T) {
 	}
 }
 
+// TestExportScenarioCDF exports a scenario run's CDFs: every row's
+// probability lies in (0, 1] and each scheme's curve ends at 1.
 func TestExportScenarioCDF(t *testing.T) {
 	cfg := DefaultConfig(2)
 	cfg.Topologies = 3
@@ -84,20 +87,24 @@ func TestExportScenarioCDF(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if err := res.ExportCSV(dir, "fig_1x1.csv"); err != nil {
+	if err := ExportCampaignCSV(dir, res); err != nil {
 		t.Fatal(err)
 	}
-	rows := readCSV(t, filepath.Join(dir, "fig_1x1.csv"))
-	// header + schemes×topologies rows.
-	want := 1 + len(res.PerTopology)*3
-	if len(rows) != want {
-		t.Errorf("cdf rows %d, want %d", len(rows), want)
-	}
-	// CDF column ends at 1.000 per scheme and is within (0,1].
+	rows := readCSV(t, filepath.Join(dir, "campaign_1x1_cdf.csv"))
+	last := make(map[string]float64)
 	for _, r := range rows[1:] {
-		p, err := strconv.ParseFloat(r[2], 64)
+		p, err := strconv.ParseFloat(r[4], 64)
 		if err != nil || p <= 0 || p > 1 {
 			t.Fatalf("bad cdf value %v", r)
+		}
+		last[r[2]] = p
+	}
+	if len(last) != len(CampaignSummary(res, campaign.DefaultProfile, 0)) {
+		t.Errorf("cdf covers schemes %v", last)
+	}
+	for scheme, p := range last {
+		if p != 1 {
+			t.Errorf("%s cdf ends at %g", scheme, p)
 		}
 	}
 }

@@ -2,15 +2,16 @@ package testbed
 
 import (
 	"fmt"
+	"io"
 
 	"copa/internal/campaign"
 )
 
 // This file is the figure-generation layer over campaign aggregates:
-// the same summary rows and CDFs the serial harness derives from raw
-// per-topology samples (Figs. 10–13, Fig. 9), computed instead from the
-// streamed Moments + quantile sketches a sharded campaign produces — so
-// population figures no longer require holding any samples in memory.
+// the summary rows, CDFs and CSVs of Figs. 10–13 (and Fig. 9's
+// distributions), computed from the streamed Moments + quantile
+// sketches every scenario run produces — so population figures never
+// hold per-topology samples.
 
 // SchemeSummary is one scheme's headline row (the per-scheme line
 // copasim prints for Figs. 10–13), computed from merged aggregates.
@@ -18,8 +19,8 @@ type SchemeSummary struct {
 	Scheme string
 	N      uint64
 	// Throughputs in bits/s: mean/std from the moments, quantiles from
-	// the sketch (within half a bucket, ≈0.4%, of the exact sample
-	// quantiles).
+	// the sketch (the midpoint of the bucket holding the nearest-rank
+	// sample, within 0.39% of it).
 	MeanBps, StdBps           float64
 	P10Bps, MedianBps, P90Bps float64
 }
@@ -47,30 +48,50 @@ func CampaignSummary(res *campaign.Result, profile string, age int) []SchemeSumm
 	return rows
 }
 
-// CampaignCDF returns a column's cumulative distribution as testbed CDF
-// points (one per occupied sketch bucket), or nil if the column is
-// absent.
-func CampaignCDF(res *campaign.Result, name string) []CDFPoint {
+// WriteSummary prints one grid cell's CampaignSummary rows, one line per
+// scheme in Mb/s — the table copasim prints for Figs. 10–13 and
+// copacampaign prints per cell.
+func WriteSummary(w io.Writer, res *campaign.Result, profile string, age int) {
+	for _, row := range CampaignSummary(res, profile, age) {
+		fmt.Fprintf(w, "  %-10s  mean %6.1f Mb/s   p10 %6.1f   median %6.1f   p90 %6.1f\n",
+			row.Scheme, row.MeanBps/1e6, row.P10Bps/1e6, row.MedianBps/1e6, row.P90Bps/1e6)
+	}
+}
+
+// CampaignCDF returns a column's cumulative distribution, one point per
+// occupied sketch bucket, or nil if the column is absent.
+func CampaignCDF(res *campaign.Result, name string) []campaign.CDFPoint {
 	col := res.Column(name)
 	if col == nil {
 		return nil
 	}
-	pts := col.Sketch.CDF()
-	out := make([]CDFPoint, len(pts))
-	for i, p := range pts {
-		out[i] = CDFPoint{Value: p.Value, P: p.P}
+	return col.Sketch.CDF()
+}
+
+// csvSlug names a campaign's CSV files by everything that sets its
+// population apart: scenario, interference delta and decoder model
+// ("4x2", "4x2_-10dB", "1x1_multidecoder"), so campaigns that differ
+// only there can share an output directory.
+func csvSlug(spec campaign.Spec) string {
+	slug := spec.Scenario.Name
+	if spec.InterferenceDeltaDB != 0 {
+		slug += fmt.Sprintf("_%+gdB", spec.InterferenceDeltaDB)
 	}
-	return out
+	if spec.MultiDecoder {
+		slug += "_multidecoder"
+	}
+	return slug
 }
 
 // ExportCampaignCSV writes the campaign's figure data into dir:
-// campaign_<scenario>_summary.csv with one row per (profile, age,
-// scheme), campaign_<scenario>_cdf.csv with every scheme column's
-// throughput CDF (the Figs. 10–13 curves), and — when the Fig. 9
-// columns are present — campaign_<scenario>_fig9_cdf.csv with the
-// signal/interference power distributions.
+// campaign_<slug>_summary.csv with one row per (profile, age, scheme),
+// campaign_<slug>_cdf.csv with every scheme column's throughput CDF
+// (the Figs. 10–13 curves), and — when the Fig. 9 columns are present —
+// campaign_<slug>_fig9_cdf.csv with the signal/interference power
+// distributions. The slug is the scenario name plus any interference
+// delta and decoder model (see csvSlug).
 func ExportCampaignCSV(dir string, res *campaign.Result) error {
-	slug := res.Spec.Scenario.Name
+	slug := csvSlug(res.Spec)
 	sum := [][]string{{"profile", "age", "scheme", "n", "mean_bps", "std_bps", "p10_bps", "median_bps", "p90_bps"}}
 	cdf := [][]string{{"profile", "age", "scheme", "value_bps", "p"}}
 	for _, prof := range res.Spec.Profiles {

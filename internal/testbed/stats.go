@@ -6,10 +6,12 @@
 // (Fig. 9), MAC overhead (Table 1), and the multi-decoder study (Fig. 14).
 package testbed
 
-import (
-	"math"
-	"sort"
-)
+import "math"
+
+// Mean and StdDev summarize raw per-sample slices (Fig. 3's per-topology
+// nulling effects, the loss and mobility sweeps, robustness across
+// seeds). Population figures (Figs. 10–14, the §1 headlines) read the
+// campaign's Moments and Sketch instead.
 
 // Mean returns the arithmetic mean (0 for empty input).
 func Mean(xs []float64) float64 {
@@ -34,46 +36,4 @@ func StdDev(xs []float64) float64 {
 		s += (x - m) * (x - m)
 	}
 	return math.Sqrt(s / float64(len(xs)))
-}
-
-// Median returns the middle value (mean of the two middles for even n).
-func Median(xs []float64) float64 { return Percentile(xs, 50) }
-
-// Percentile returns the p-th percentile (0–100) by linear interpolation.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	pos := p / 100 * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	frac := pos - float64(lo)
-	if lo+1 >= len(s) {
-		return s[len(s)-1]
-	}
-	return s[lo] + frac*(s[lo+1]-s[lo])
-}
-
-// CDFPoint is one step of an empirical CDF.
-type CDFPoint struct {
-	Value float64
-	P     float64
-}
-
-// CDF returns the empirical distribution of xs as sorted (value, P≤) steps.
-func CDF(xs []float64) []CDFPoint {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	out := make([]CDFPoint, len(s))
-	for i, v := range s {
-		out[i] = CDFPoint{Value: v, P: float64(i+1) / float64(len(s))}
-	}
-	return out
 }
