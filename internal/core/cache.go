@@ -46,15 +46,6 @@ func NewCSICache(coherence time.Duration) *CSICache {
 	}
 }
 
-// SetMaxEntries changes the bound; n <= 0 restores the default. The new
-// bound takes effect on the next Put.
-func (c *CSICache) SetMaxEntries(n int) {
-	if n <= 0 {
-		n = DefaultCacheEntries
-	}
-	c.max = n
-}
-
 // Put records a fresh estimate observed at virtual time now, sweeping
 // the table back under its bound first.
 func (c *CSICache) Put(addr mac.Addr, link *channel.Link, now time.Duration) {
@@ -104,16 +95,6 @@ func (c *CSICache) Get(addr mac.Addr, now time.Duration) (*channel.Link, bool) {
 	return e.link, true
 }
 
-// Age returns how old the entry for addr is at now, and whether it exists
-// at all.
-func (c *CSICache) Age(addr mac.Addr, now time.Duration) (time.Duration, bool) {
-	e, ok := c.entries[addr]
-	if !ok {
-		return 0, false
-	}
-	return now - e.at, true
-}
-
 // Evict removes stale entries; returns how many were dropped.
 func (c *CSICache) Evict(now time.Duration) int {
 	n := 0
@@ -126,6 +107,3 @@ func (c *CSICache) Evict(now time.Duration) int {
 	mCacheEvictions.Add(uint64(n))
 	return n
 }
-
-// Len returns the number of cached entries (fresh or stale).
-func (c *CSICache) Len() int { return len(c.entries) }

@@ -67,13 +67,6 @@ func NewFaulty(inner Medium, cfg Config, src *rng.Source) *Faulty {
 	return &Faulty{inner: inner, cfg: cfg, src: src, held: make(map[[12]byte][]byte)}
 }
 
-// Stats returns a snapshot of the impairments injected so far.
-func (f *Faulty) Stats() Stats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.stats
-}
-
 func linkKey(src, dst mac.Addr) [12]byte {
 	var k [12]byte
 	copy(k[:6], src[:])

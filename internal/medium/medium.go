@@ -20,8 +20,10 @@
 // Timeout semantics differ by clock domain: simulated media (Perfect,
 // and Faulty over Perfect) treat Recv timeouts as virtual time — they
 // serve queued traffic or fail immediately, never sleeping — while UDP
-// blocks in real time. The exchange engine in internal/core works with
-// both.
+// blocks in real time. internal/core writes each ITS role once, as a
+// step machine that never reads a clock, and drives it in either
+// domain: both roles on one goroutine in virtual time over a simulated
+// medium, or one role per process blocking on a real one.
 package medium
 
 import (
@@ -128,13 +130,6 @@ func (m *Perfect) Recv(dst mac.Addr, timeout time.Duration) ([]byte, error) {
 	}
 	mFramesDelivered.Inc()
 	return head.frame, nil
-}
-
-// Pending reports how many frames are queued for dst (test hook).
-func (m *Perfect) Pending(dst mac.Addr) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.queues[dst])
 }
 
 // Close empties the medium; further Send/Recv fail with ErrClosed.
