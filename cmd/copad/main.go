@@ -16,7 +16,8 @@
 //
 // Add -loss 0.5 to either side to inject seeded frame loss on top of the
 // socket; at -loss 1 the exchange exhausts its retries and exits 0
-// reporting the CSMA fallback.
+// reporting the CSMA fallback. A follower whose REQ went out but that
+// heard no verdict exits 0 reporting that it defers for the TXOP.
 package main
 
 import (
@@ -146,18 +147,22 @@ func printTrace(out *os.File) {
 	}
 }
 
-// report prints a failed exchange's outcome. A CSMA fallback is a clean
-// exit (the protocol degraded as designed); anything else is an error.
+// report prints a failed exchange's outcome. A CSMA fallback and a
+// follower's deferral are clean exits (the protocol degraded as
+// designed); anything else is an error.
 func report(out *os.File, logger interface {
 	Error(msg string, args ...any)
 }, stats core.ExchangeStats, err error) int {
-	if errors.Is(err, core.ErrFallback) {
-		fmt.Fprintf(out, "CSMA fallback after %d retries (cause: %v): no strategy negotiated — reverting to stock 802.11 for this coherence time\n",
-			stats.Retries, stats.Cause)
-		return 0
+	switch {
+	case errors.Is(err, core.ErrFallback):
+		fmt.Fprintf(out, "CSMA fallback after %d retries (cause: %v): no strategy negotiated — reverting to stock 802.11 for this coherence time\n", stats.Retries, stats.Cause)
+	case errors.Is(err, core.ErrDeferred):
+		fmt.Fprintf(out, "deferring after %d retries (cause: %v): REQ sent but no verdict heard — staying silent for this TXOP\n", stats.Retries, stats.Cause)
+	default:
+		logger.Error("exchange failed", "err", err, "cause", stats.Cause)
+		return 1
 	}
-	logger.Error("exchange failed", "err", err, "cause", stats.Cause)
-	return 1
+	return 0
 }
 
 func printOutcome(out *os.File, label string, o strategy.Outcome) {

@@ -121,10 +121,9 @@ type LeadDecision struct {
 	// Outcome is the chosen strategy (predicted throughputs only; the
 	// leader has no ground truth).
 	Outcome strategy.Outcome
-	// LeaderTx and FollowerTx are the transmission descriptors; for a
-	// sequential decision FollowerTx is nil and the follower defers.
-	LeaderTx   *precoding.Transmission
-	FollowerTx *precoding.Transmission
+	// LeaderTx is the leader's transmission; the follower's travels in
+	// the ACK.
+	LeaderTx *precoding.Transmission
 	// Ack is the marshaled ITS ACK to broadcast (Step 4).
 	Ack []byte
 }
@@ -181,7 +180,6 @@ func (ap *AP) HandleITSReq(reqFrame []byte, now time.Duration) (*LeadDecision, e
 	dec.LeaderTx = leaderTx
 	if choice.Concurrent {
 		ack.Decision = mac.DecideConcurrent
-		dec.FollowerTx = followerTx
 		pre, err := csi.EncodePrecoder(followerTx.Precoder.PerSubcarrier)
 		if err != nil {
 			return nil, err

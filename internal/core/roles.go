@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
-	"strconv"
 	"time"
 
 	"copa/internal/mac"
@@ -13,220 +11,82 @@ import (
 	"copa/internal/precoding"
 )
 
-// This file holds the per-station role drivers for blocking media (real
-// UDP sockets): unlike runExchangeOverMedium, which single-threads both
-// APs over a simulated medium, LeadExchange and FollowExchange each
-// drive one side of the protocol and genuinely wait on the wire.
-// cmd/copad runs one of them per process.
+// This file holds the live half of the ITS exchange: LeadExchange and
+// FollowExchange run one role each (cmd/copad runs one per process)
+// through drive, which waits on a blocking medium (real UDP sockets) in
+// real time. The roles themselves are the step machines in exchange.go
+// that Pair and Cluster run in virtual time, so the daemon and the
+// simulation share one protocol. drive is the only code in this package
+// that reads the wall clock.
 
-// ErrFallback is returned by the role drivers when the retry budget is
-// exhausted and the station reverts to plain CSMA for the remainder of
-// the coherence time.
-var ErrFallback = errors.New("core: exchange fell back to CSMA")
+// drive runs r to completion as station self over a blocking medium:
+// it transmits each step's frame and waits on med.Recv until a frame
+// arrives or the role's timer runs out. Frames that arrive while a
+// backoff runs are heard, not queued behind it. A medium error ends
+// the run and is returned.
+func drive(med medium.Medium, self mac.Addr, r role) error {
+	var deadline time.Time
+	for x := r.start(); !x.done; {
+		if x.frame != nil {
+			if err := med.Send(self, x.to, x.frame); err != nil {
+				return err
+			}
+		}
+		if x.wait != keep {
+			deadline = time.Now().Add(x.wait)
+		}
+		frame, err := med.Recv(self, time.Until(deadline))
+		switch {
+		case err == nil:
+			x = r.recv(frame)
+		case errors.Is(err, medium.ErrTimeout):
+			x = r.expire()
+		default:
+			return err
+		}
+	}
+	return nil
+}
 
-// LeadExchange runs the leader role of one live ITS exchange: send INIT,
-// await the follower's REQ, decide, send the ACK. Lost or garbled legs
-// are retried with bounded exponential backoff; after sending the final
-// ACK the leader lingers one ACK-timeout listening for a duplicate REQ
-// (the follower's implicit "I missed the verdict") and retransmits the
-// ACK if one arrives.
-//
-// On budget exhaustion it returns stats with Fallback set and an error
-// wrapping ErrFallback. Protocol failures (no CSI, infeasible strategy)
-// abort immediately, as in the simulated engine.
+// LeadExchange runs the leader role of one live ITS exchange (see
+// leader): INIT, the follower's REQ, the decision, the ACK and its
+// linger. On budget exhaustion it returns stats with Fallback set and
+// an error wrapping ErrFallback; protocol failures (no CSI, infeasible
+// strategy) and medium errors abort with the error.
 //
 // The leader is where a live exchange's trace begins: obs.StartSpan
 // roots one (or continues ctx's), and its identity rides inside the
 // INIT frame as a compact binary field, so the follower process's
 // spans share the leader's TraceID — one stitched over-the-air trace.
 func (ap *AP) LeadExchange(ctx context.Context, med medium.Medium, folAddr mac.Addr, airtimeUS uint32, now time.Duration, pol RetryPolicy) (*LeadDecision, ExchangeStats, error) {
-	var stats ExchangeStats
-	tmo := mac.DefaultOverheadModel().ITSTimeouts().Clamp(pol.TimeoutFloor)
 	mSessions.Inc()
 	ctx, span := obs.StartSpan(ctx, "its.exchange")
-	initFrame := ap.BuildITSInitTrace(ctx, airtimeUS)
-
-	fail := func(cause FailCause, err error) (*LeadDecision, ExchangeStats, error) {
-		stats.Cause = cause
-		stats.Fallback = errors.Is(err, ErrFallback)
-		mSessionFailures.Inc()
-		failCounter(cause).Inc()
-		if stats.Fallback {
-			mFallbacks.Inc()
-		}
-		span.EndErr(err)
-		return nil, stats, err
+	l := newLeader(ctx, ap, folAddr, ap.BuildITSInitTrace(ctx, airtimeUS), now, pol)
+	if err := drive(med, ap.Addr, l); err != nil {
+		l.fail(CauseTimeout, err)
 	}
-
-	// Leg 1: INIT → REQ → decision.
-	leg := obs.ChildSpan(ctx, "its.leg.req")
-	var dec *LeadDecision
-	cause := CauseTimeout
-	for try := 0; dec == nil; try++ {
-		if try == pol.tries() {
-			leg.EndErr(errExhausted)
-			return fail(cause, fmt.Errorf("%w: no usable REQ after %d tries (%v)", ErrFallback, try, cause))
-		}
-		if try > 0 {
-			stats.Retries++
-			mRetries.Inc()
-			time.Sleep(pol.backoff(try))
-		}
-		if err := med.Send(ap.Addr, folAddr, initFrame); err != nil {
-			return fail(CauseTimeout, fmt.Errorf("send INIT: %w", err))
-		}
-		stats.ControlBytes += len(initFrame)
-		reqFrame, err := recvITS(med, ap.Addr, tmo.REQ, mac.TypeITSReq)
-		if err != nil {
-			if errors.Is(err, medium.ErrTimeout) {
-				cause = CauseTimeout
-				mLegTimeouts.Inc()
-				continue
-			}
-			return fail(CauseTimeout, fmt.Errorf("await REQ: %w", err))
-		}
-		d, err := ap.HandleITSReq(reqFrame, now)
-		if err != nil {
-			if errors.Is(err, mac.ErrBadFrame) {
-				cause = CauseCRC
-				mLegCRCDrops.Inc()
-				continue
-			}
-			return fail(CauseLeaderDecision, fmt.Errorf("leader decision: %w", err))
-		}
-		dec = d
+	span.EndErr(l.err)
+	if l.err != nil {
+		return nil, l.stats, l.err
 	}
-	leg.SetAttr("retries", strconv.Itoa(stats.Retries))
-	leg.End()
-
-	// Leg 2: ACK, with a linger window for duplicate REQs.
-	leg = obs.ChildSpan(ctx, "its.leg.ack")
-	for try := 0; try < pol.tries(); try++ {
-		if err := med.Send(ap.Addr, folAddr, dec.Ack); err != nil {
-			leg.EndErr(err)
-			return fail(CauseTimeout, fmt.Errorf("send ACK: %w", err))
-		}
-		stats.ControlBytes += len(dec.Ack)
-		if _, err := recvITS(med, ap.Addr, tmo.ACK, mac.TypeITSReq); err != nil {
-			// Silence: the follower accepted the verdict (or gave up; it
-			// will report its own fallback). Done either way.
-			leg.End()
-			span.End()
-			return dec, stats, nil
-		}
-		// A duplicate REQ: the follower missed the ACK — resend it.
-		stats.Retries++
-		mRetries.Inc()
-	}
-	leg.End()
-	span.End()
-	return dec, stats, nil
+	return l.dec, l.stats, nil
 }
 
-// FollowExchange runs the follower role: wait up to `wait` for a
-// leader's INIT, answer with a REQ, and await the ACK verdict, re-answering
-// duplicate INITs (the leader's implicit "I missed your REQ") and
-// retransmitting the REQ on ACK timeouts. Returns the parsed verdict and
-// — as HandleITSAck does — the follower's transmission descriptor.
+// FollowExchange runs the follower role (see follower): wait up to
+// `wait` for a leader's INIT, answer with a REQ, and await the verdict.
+// Returns the parsed verdict and — as HandleITSAck does — the
+// follower's transmission descriptor. A follower that heard no INIT
+// returns an error wrapping ErrFallback; one that sent a REQ but heard
+// no verdict returns one wrapping ErrDeferred and must stay silent for
+// the TXOP.
 //
 // When the INIT carries the leader's trace context, the follower's
 // its.follow span joins the leader's trace: both processes' spans share
 // one TraceID, parented across the air.
 func (ap *AP) FollowExchange(ctx context.Context, med medium.Medium, wait time.Duration, now time.Duration, pol RetryPolicy) (*mac.ITSAck, *precoding.Transmission, ExchangeStats, error) {
-	var stats ExchangeStats
-	tmo := mac.DefaultOverheadModel().ITSTimeouts().Clamp(pol.TimeoutFloor)
-	// The span stays nil until a leader's INIT reveals the trace this
-	// exchange belongs to.
-	var span *obs.ActiveSpan
-
-	fail := func(cause FailCause, err error) (*mac.ITSAck, *precoding.Transmission, ExchangeStats, error) {
-		stats.Cause = cause
-		stats.Fallback = errors.Is(err, ErrFallback)
-		if stats.Fallback {
-			mFallbacks.Inc()
-		}
-		span.EndErr(err)
-		return nil, nil, stats, err
+	f := newFollower(ctx, ap, wait, now, pol)
+	if err := drive(med, ap.Addr, f); err != nil {
+		f.end(CauseTimeout, err)
 	}
-
-	// Wait for the opening INIT.
-	var reqFrame []byte
-	deadline := time.Now().Add(wait)
-	for reqFrame == nil {
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return fail(CauseTimeout, fmt.Errorf("%w: no INIT heard within %v", ErrFallback, wait))
-		}
-		data, err := recvITS(med, ap.Addr, remain, mac.TypeITSInit)
-		if err != nil {
-			if errors.Is(err, medium.ErrTimeout) {
-				continue
-			}
-			return fail(CauseTimeout, fmt.Errorf("await INIT: %w", err))
-		}
-		r, err := ap.BuildITSReq(data, now)
-		if err != nil {
-			if errors.Is(err, mac.ErrBadFrame) {
-				mLegCRCDrops.Inc()
-				continue // garbled INIT: stay silent, the leader retries
-			}
-			return fail(CauseReqBuild, fmt.Errorf("follower REQ: %w", err))
-		}
-		reqFrame = r
-		// Adopt the leader's trace, if the INIT carried one.
-		if init, err := mac.UnmarshalITSInit(data); err == nil && len(init.TraceCtx) > 0 {
-			span = obs.ChildSpan(obs.ContextWithRemoteBinary(ctx, init.TraceCtx), "its.follow")
-		}
-	}
-
-	// Send the REQ and await the verdict; duplicate INITs mean the
-	// leader missed the REQ.
-	cause := CauseTimeout
-	for try := 0; try < pol.tries(); try++ {
-		if try > 0 {
-			stats.Retries++
-			mRetries.Inc()
-		}
-		if err := med.Send(ap.Addr, reqLeader(reqFrame), reqFrame); err != nil {
-			return fail(CauseTimeout, fmt.Errorf("send REQ: %w", err))
-		}
-		stats.ControlBytes += len(reqFrame)
-		data, err := med.Recv(ap.Addr, tmo.ACK)
-		if err != nil {
-			if errors.Is(err, medium.ErrTimeout) {
-				cause = CauseTimeout
-				mLegTimeouts.Inc()
-				continue
-			}
-			return fail(CauseTimeout, fmt.Errorf("await ACK: %w", err))
-		}
-		if t, ok := mac.FrameTypeOf(data); !ok || t != mac.TypeITSAck {
-			// A duplicate INIT (or garbage): fall through to resend REQ.
-			cause = CauseTimeout
-			continue
-		}
-		ack, tx, err := ap.HandleITSAck(data, now)
-		if err != nil {
-			if errors.Is(err, mac.ErrBadFrame) {
-				cause = CauseCRC
-				mLegCRCDrops.Inc()
-				continue
-			}
-			return fail(CauseAckHandle, fmt.Errorf("follower ACK: %w", err))
-		}
-		span.SetAttr("retries", strconv.Itoa(stats.Retries))
-		span.End()
-		return ack, tx, stats, nil
-	}
-	return fail(cause, fmt.Errorf("%w: no verdict after %d tries (%v)", ErrFallback, pol.tries(), cause))
-}
-
-// reqLeader extracts the leader (destination) address from a marshaled
-// REQ without a full re-parse.
-func reqLeader(reqFrame []byte) mac.Addr {
-	var a mac.Addr
-	if req, err := mac.UnmarshalITSReq(reqFrame); err == nil {
-		a = req.Leader
-	}
-	return a
+	return f.ack, f.tx, f.stats, f.err
 }
