@@ -415,6 +415,10 @@ func printLossSweep(ctx context.Context, o *opts) error {
 		fmt.Printf("  %3.0f%%  %7.1f Mb/s  %7.1f%%  %12.2f  %10.0f\n",
 			p.Loss*100, p.AggregateBps/1e6, p.FallbackRate*100, p.RetriesPerExchange, p.ControlBytesPerExchange)
 	}
+	fmt.Println("fail-safe contract: a follower that heard no verdict defers\n  loss   deferred  disagree")
+	for _, p := range sweep.Points {
+		fmt.Printf("  %3.0f%%  %7.1f%%  %7.1f%%\n", p.Loss*100, p.DeferRate*100, p.DisagreeRate*100)
+	}
 	return o.export(sweep.ExportCSV)
 }
 

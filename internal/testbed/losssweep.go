@@ -67,6 +67,11 @@ type LossPoint struct {
 	// FallbackRate is the fraction of exchanges that exhausted their
 	// retry budget and degraded to CSMA.
 	FallbackRate float64
+	// DeferRate is the fraction in which the follower sent a REQ but
+	// heard no verdict and sat the TXOP out: the fail-safe contract's
+	// price. DisagreeRate is the fraction that ended with both APs free
+	// to transmit on different verdicts, which the contract rules out.
+	DeferRate, DisagreeRate float64
 	// RetriesPerExchange is the mean number of retransmissions.
 	RetriesPerExchange float64
 	// ControlBytesPerExchange includes retransmissions.
@@ -103,9 +108,13 @@ func RunLossSweep(ctx context.Context, sc channel.Scenario, cfg LossSweepConfig)
 	deps := channel.GenerateTestbed(cfg.Seed, sc, cfg.Topologies)
 	sweep := &LossSweep{Scenario: sc, CSMABps: make([]float64, cfg.Topologies)}
 
+	count := func(on bool, n *float64) {
+		if on {
+			*n++
+		}
+	}
 	for _, loss := range cfg.LossRates {
 		pt := LossPoint{Loss: loss, Agg: campaign.NewColumn(), PerTopologyBps: make([]float64, cfg.Topologies)}
-		exchanges := 0
 		for t, dep := range deps {
 			if err := ctx.Err(); err != nil {
 				return nil, err
@@ -133,10 +142,9 @@ func RunLossSweep(ctx context.Context, sc channel.Scenario, cfg LossSweepConfig)
 				if err != nil {
 					return nil, fmt.Errorf("loss %.2f topology %d round %d: %w", loss, t, r, err)
 				}
-				exchanges++
-				if s.Fallback {
-					pt.FallbackRate++
-				}
+				count(s.Fallback, &pt.FallbackRate)
+				count(s.Deferred, &pt.DeferRate)
+				count(s.Disagreed, &pt.DisagreeRate)
 				pt.RetriesPerExchange += float64(s.Retries)
 				pt.ControlBytesPerExchange += float64(s.ControlBytes)
 				tp := pair.MeasuredThroughputs(s)
@@ -149,18 +157,18 @@ func RunLossSweep(ctx context.Context, sc channel.Scenario, cfg LossSweepConfig)
 			pt.Agg.Add(pt.PerTopologyBps[t])
 		}
 		pt.AggregateBps = pt.Agg.Moments.Mean
-		pt.FallbackRate /= float64(exchanges)
-		pt.RetriesPerExchange /= float64(exchanges)
-		pt.ControlBytesPerExchange /= float64(exchanges)
+		for _, m := range []*float64{&pt.FallbackRate, &pt.DeferRate, &pt.DisagreeRate, &pt.RetriesPerExchange, &pt.ControlBytesPerExchange} {
+			*m /= float64(cfg.Topologies * cfg.Rounds)
+		}
 		sweep.Points = append(sweep.Points, pt)
 	}
 	return sweep, nil
 }
 
 // ExportCSV writes losssweep_<scenario>.csv: loss, aggregate, CSMA
-// baseline, fallback and retry rates.
+// baseline, fallback, deferral, disagreement and retry rates.
 func (s *LossSweep) ExportCSV(dir string) error {
-	rows := [][]string{{"loss", "aggregate_bps", "csma_bps", "fallback_rate", "retries_per_exchange", "control_bytes"}}
+	rows := [][]string{{"loss", "aggregate_bps", "csma_bps", "fallback_rate", "defer_rate", "disagree_rate", "retries_per_exchange", "control_bytes"}}
 	base := s.MeanCSMABps()
 	for _, p := range s.Points {
 		rows = append(rows, []string{
@@ -168,6 +176,8 @@ func (s *LossSweep) ExportCSV(dir string) error {
 			fmt.Sprintf("%.0f", p.AggregateBps),
 			fmt.Sprintf("%.0f", base),
 			fmt.Sprintf("%.4f", p.FallbackRate),
+			fmt.Sprintf("%.4f", p.DeferRate),
+			fmt.Sprintf("%.4f", p.DisagreeRate),
 			fmt.Sprintf("%.3f", p.RetriesPerExchange),
 			fmt.Sprintf("%.0f", p.ControlBytesPerExchange),
 		})
