@@ -119,7 +119,9 @@ drift-smoke:
 
 # fuzz campaigns the wire-format parsers, the request-path parsers
 # (allocate JSON bodies, traceparent headers, a peer's binary trace
-# field) and the campaign checkpoint reader. go test accepts one -fuzz target per invocation,
+# field), the campaign checkpoint reader and the ITS exchange's step
+# machines under fuzzed drop/duplicate/corrupt schedules. go test
+# accepts one -fuzz target per invocation,
 # so each package:target pair runs in turn; every target runs even
 # after one fails, the failures are listed, and the exit status is
 # non-zero if any failed. FUZZTIME=2m make fuzz for a longer run.
@@ -138,7 +140,8 @@ fuzz:
 		./internal/api:FuzzDecodeResponseBinary \
 		./internal/api:FuzzParseRequestJSON \
 		./internal/obs:FuzzParseTraceparent \
-		./internal/obs:FuzzContextWithRemoteBinary; \
+		./internal/obs:FuzzContextWithRemoteBinary \
+		./internal/core:FuzzExchangeSchedule; \
 	do \
 		pkg=$${t%%:*}; name=$${t##*:}; \
 		echo "fuzz: $$name ($$pkg)"; \
